@@ -1,18 +1,22 @@
-"""Scaling benchmark — sparse batched engine vs dense per-stage kernels.
+"""Scaling benchmark — the batched engine kernel vs the scalar oracle.
 
-The point of the ``numpy-sparse`` backend is to hold the analysis-engine
-speedup when designs outgrow the per-stage dense kernels: 16k–64k sinks
-mean thousands of stages, and a Python loop over per-stage numpy calls
-drowns the vectorisation.  This benchmark climbs the size ladder
-(ckt1024 → ckt4096 → ckt16384), measures each backend's engine compile
-+ full analysis + one optimizer iteration in a *subprocess* (so
-``ru_maxrss`` is a clean per-backend high-water mark, not polluted by
-the parent's design build), and records the results in
-``BENCH_scaling.json`` at the repo root.
+The analysis engine exists to make the optimizer's re-analysis cheap
+once designs grow to thousands of stages.  This benchmark climbs the
+size ladder (ckt1024 → ckt4096 → ckt16384) and measures two analysis
+paths on each rung, each in its own *subprocess* (so ``ru_maxrss`` is a
+clean per-path high-water mark, not polluted by the parent's design
+build):
 
-The physical build itself (CTS + route + trim + extract) is backend-
-independent; the parent builds each rung once and ships it to the
-children via pickle.
+* ``engine`` — :class:`~repro.engine.AnalysisEngine` compile, the
+  kernel's static timing / crosstalk / EM / Monte-Carlo sweeps, and one
+  optimizer iteration with ``use_engine=True``;
+* ``scalar`` — the readable oracle analyses (``analyze_clock_timing``,
+  ``analyze_crosstalk``, ``analyze_em``, ``run_monte_carlo``) and one
+  optimizer iteration with ``use_engine=False``.
+
+Results land in ``BENCH_scaling.json`` at the repo root.  The physical
+build itself (CTS + route + trim + extract) is shared; the parent
+builds each rung once and ships it to the children via pickle.
 
 Run the full ladder with ``pytest benchmarks/bench_scaling.py``; the
 ckt16384 rung is opt-in via ``-m slow`` (it builds for ~40 s before the
@@ -32,24 +36,27 @@ from pathlib import Path
 import pytest
 
 SCALING_JSON = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
-BACKENDS = ("numpy-dense", "numpy-sparse")
+PATHS = ("engine", "scalar")
 
 #: Per-rung memo so the smoke test and the ladder test share one build.
 _RUNG_CACHE: dict[str, dict] = {}
 
 
-# -- child: one backend, one design, measured in isolation --------------------
+# -- child: one analysis path, one design, measured in isolation -------------
 
 
-def _child_main(pickle_path: str, backend_name: str) -> None:
-    """Measure one backend on one pre-built design; JSON on stdout."""
+def _child_main(pickle_path: str, path: str) -> None:
+    """Measure one analysis path on one pre-built design; JSON on stdout."""
     import time
 
     from repro import obs
     from repro.core.optimizer import SmartNdrOptimizer
     from repro.core.targets import RobustnessTargets
     from repro.engine import AnalysisEngine
-    from repro.reliability.em import DEFAULT_EM_FACTOR
+    from repro.reliability.em import DEFAULT_EM_FACTOR, analyze_em
+    from repro.timing.arrival import analyze_clock_timing
+    from repro.timing.crosstalk import analyze_crosstalk
+    from repro.timing.montecarlo import run_monte_carlo
 
     with open(pickle_path, "rb") as fh:
         physical = pickle.load(fh)
@@ -57,39 +64,56 @@ def _child_main(pickle_path: str, backend_name: str) -> None:
     freq = physical.design.clock_freq
     targets = RobustnessTargets.for_period(physical.design.clock_period,
                                            tech.max_slew)
+    extraction = physical.extraction
+    network = extraction.network
 
-    t0 = time.perf_counter()
-    engine = AnalysisEngine(physical.extraction, physical.tree, tech,
-                            freq, targets, backend=backend_name)
-    compile_s = time.perf_counter() - t0
-    kernel = engine.kernel
-
-    def sweep(fn, reps=3):
-        """Best-of-N full-sweep time (caches dropped before each rep)."""
+    def best_of(fn, reps=3, reset=lambda: None):
+        """Best-of-N full-sweep time (``reset`` runs before each rep)."""
         best = float("inf")
         for _ in range(reps):
-            kernel.invalidate_caches()
+            reset()
             start = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - start)
         return best
 
-    static_s = sweep(lambda: kernel.static_timing(tech))
-    xtalk_s = sweep(lambda: kernel.crosstalk(alignment=targets.alignment))
-    em_s = sweep(lambda: kernel.em(tech.vdd, freq,
-                                   em_factor=DEFAULT_EM_FACTOR))
-    mc_s = sweep(lambda: kernel.monte_carlo(engine.frozen), reps=2)
+    compile_s = 0.0
+    if path == "engine":
+        t0 = time.perf_counter()
+        engine = AnalysisEngine(extraction, physical.tree, tech, freq,
+                                targets)
+        compile_s = time.perf_counter() - t0
+        kernel = engine.kernel
+        reset = kernel.invalidate_caches
+        static_s = best_of(lambda: kernel.static_timing(tech), reset=reset)
+        xtalk_s = best_of(lambda: kernel.crosstalk(
+            alignment=targets.alignment), reset=reset)
+        em_s = best_of(lambda: kernel.em(tech.vdd, freq,
+                                         em_factor=DEFAULT_EM_FACTOR),
+                       reset=reset)
+        mc_s = best_of(lambda: kernel.monte_carlo(engine.frozen), reps=2,
+                       reset=reset)
+    else:
+        static_s = best_of(lambda: analyze_clock_timing(network, tech))
+        xtalk_s = best_of(lambda: analyze_crosstalk(
+            network, extraction.wires, alignment=targets.alignment))
+        em_s = best_of(lambda: analyze_em(
+            network, extraction.routing, tech.vdd, freq,
+            em_factor=DEFAULT_EM_FACTOR))
+        mc_s = best_of(lambda: run_monte_carlo(
+            network, extraction.wires, extraction.routing, tech,
+            n_samples=targets.mc_samples, seed=targets.mc_seed), reps=2)
     analyze_s = static_s + xtalk_s + em_s + mc_s
 
     t0 = time.perf_counter()
     opt = SmartNdrOptimizer(physical.tree, physical.routing, tech,
                             targets, freq, max_iterations=1,
-                            use_engine=backend_name)
+                            use_engine=(path == "engine"))
     opt.run()
     opt_iter_s = time.perf_counter() - t0
 
     json.dump({
-        "backend": backend_name,
+        "path": path,
         "compile_s": round(compile_s, 4),
         "static_s": round(static_s, 4),
         "xtalk_s": round(xtalk_s, 4),
@@ -107,7 +131,7 @@ if __name__ == "__main__":
     sys.exit(0)
 
 
-# -- parent: build once, fan out per backend ----------------------------------
+# -- parent: build once, fan out per analysis path ----------------------------
 
 
 def _repo_env() -> dict[str, str]:
@@ -120,10 +144,10 @@ def _repo_env() -> dict[str, str]:
 
 
 def _run_rung(design_name: str) -> dict:
-    """Build one ladder rung, then measure every backend on it."""
+    """Build one ladder rung, then measure both analysis paths on it."""
     if design_name in _RUNG_CACHE:
         return _RUNG_CACHE[design_name]
-    from repro.bench import generate_design, spec_by_name
+    from repro.designs import generate_design, spec_by_name
     from repro.core.flow import build_physical_design
     from repro.tech import default_technology
 
@@ -132,33 +156,32 @@ def _run_rung(design_name: str) -> dict:
                                      default_technology())
     n_stages = len(physical.extraction.network.stages)
 
-    backends = {}
+    paths = {}
     with tempfile.TemporaryDirectory(prefix="repro-scaling-") as tmp:
         pkl = os.path.join(tmp, f"{design_name}.pkl")
         with open(pkl, "wb") as fh:
             pickle.dump(physical, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        for backend in BACKENDS:
+        for path in PATHS:
             proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), pkl, backend],
+                [sys.executable, os.path.abspath(__file__), pkl, path],
                 capture_output=True, text=True, env=_repo_env(), check=False)
             assert proc.returncode == 0, \
-                f"{design_name}/{backend} child failed:\n{proc.stderr}"
-            backends[backend] = json.loads(proc.stdout)
+                f"{design_name}/{path} child failed:\n{proc.stderr}"
+            paths[path] = json.loads(proc.stdout)
 
-    dense, sparse = backends["numpy-dense"], backends["numpy-sparse"]
+    engine, scalar = paths["engine"], paths["scalar"]
     # The re-rank sweep (static timing + crosstalk) is what the
     # optimizer recomputes after every candidate churn — the hot loop
-    # the batched arenas were built for.  The full-bundle ratio is
-    # floored by work both backends share (result-object construction,
-    # the Monte-Carlo matrix FLOPs), so it is recorded separately.
-    rerank_speedup = ((dense["static_s"] + dense["xtalk_s"])
-                      / max(sparse["static_s"] + sparse["xtalk_s"], 1e-9))
-    analyze_speedup = dense["analyze_s"] / max(sparse["analyze_s"], 1e-9)
+    # the batched arenas were built for.  The full-bundle ratio also
+    # covers EM and Monte Carlo, so it is recorded separately.
+    rerank_speedup = ((scalar["static_s"] + scalar["xtalk_s"])
+                      / max(engine["static_s"] + engine["xtalk_s"], 1e-9))
+    analyze_speedup = scalar["analyze_s"] / max(engine["analyze_s"], 1e-9)
     rung = {
         "design": design_name,
         "n_sinks": spec.n_sinks,
         "n_stages": n_stages,
-        "backends": backends,
+        "paths": paths,
         "rerank_speedup": round(rerank_speedup, 2),
         "analyze_speedup": round(analyze_speedup, 2),
     }
@@ -186,7 +209,7 @@ def _emit_rung(capsys, rung: dict) -> None:
              f"{rung['n_stages']} stages): "
              f"re-rank speedup {rung['rerank_speedup']:.1f}x, "
              f"full-bundle {rung['analyze_speedup']:.1f}x"]
-    for name, r in rung["backends"].items():
+    for name, r in rung["paths"].items():
         lines.append(
             f"  {name:<12} compile {r['compile_s']:.3f}s  "
             f"static {r['static_s']:.3f}s  xtalk {r['xtalk_s']:.3f}s  "
@@ -200,14 +223,14 @@ def _emit_rung(capsys, rung: dict) -> None:
 
 
 def test_scaling_smoke_ckt1024(capsys):
-    """CI rung: the sparse backend beats dense already at 1k sinks."""
+    """CI rung: the engine beats the scalar oracle already at 1k sinks."""
     rung = _run_rung("ckt1024")
     _emit_rung(capsys, rung)
-    sparse = rung["backends"]["numpy-sparse"]
+    engine = rung["paths"]["engine"]
     assert rung["rerank_speedup"] >= 2.0, rung
     assert rung["analyze_speedup"] >= 1.0, rung
     # Wall budget: this rung must stay cheap enough for every-PR CI.
-    assert sparse["total_s"] < 30.0, rung
+    assert engine["total_s"] < 30.0, rung
 
 
 def test_scaling_speedup_holds_at_ckt4096(capsys):
@@ -218,12 +241,12 @@ def test_scaling_speedup_holds_at_ckt4096(capsys):
     assert large["rerank_speedup"] >= 5.0, large
     assert large["analyze_speedup"] >= 1.0, large
 
-    # Peak RSS must grow sub-quadratically in sink count (dense
-    # membership/incidence matrices were the quadratic term this PR
-    # removed).  16x sinks => far less than 256x memory; the interpreter
-    # floor makes the observed ratio much smaller still.
-    ratio = (large["backends"]["numpy-sparse"]["peak_rss_bytes"]
-             / max(small["backends"]["numpy-sparse"]["peak_rss_bytes"], 1))
+    # The engine's peak RSS must grow sub-quadratically in sink count
+    # (no dense node x node or node x wire matrices).  4x sinks => far
+    # less than 16x memory; the interpreter floor makes the observed
+    # ratio much smaller still.
+    ratio = (large["paths"]["engine"]["peak_rss_bytes"]
+             / max(small["paths"]["engine"]["peak_rss_bytes"], 1))
     size_ratio = large["n_sinks"] / small["n_sinks"]
     assert ratio < size_ratio ** 2, (small, large)
 
@@ -233,6 +256,6 @@ def test_scaling_holds_at_ckt16384(capsys):
     """16k sinks: compile + full analysis + one optimizer iteration < 60 s."""
     rung = _run_rung("ckt16384")
     _emit_rung(capsys, rung)
-    sparse = rung["backends"]["numpy-sparse"]
-    assert sparse["total_s"] < 60.0, rung
+    engine = rung["paths"]["engine"]
+    assert engine["total_s"] < 60.0, rung
     assert rung["rerank_speedup"] >= 5.0, rung

@@ -13,9 +13,9 @@ Elmore/crosstalk/Monte-Carlo timing, EM checks, and a power model — see
 
 Quickstart (the supported surface is :mod:`repro.api`)::
 
-    from repro.api import compare
+    from repro.api import CompareRequest, compare
 
-    report = compare("ckt64")
+    report = compare(CompareRequest(design="ckt64"))
     print(f"smart saves {report.smart_saving_pct:.1f}% vs all-ndr")
 """
 

@@ -28,9 +28,9 @@ Q005      a manifest-declared field (``spec.clock_period``,
           disagree; ERROR
 ========  ====================================================================
 
-The U family is the older, purely lexical unit hygiene that used to
-live in ``tools/lint_units.py`` (that file is now a thin shim over
-this module):
+The U family is the older, purely lexical unit hygiene, also runnable
+standalone over files and directories
+(``python -m repro.analysis.rules_units [paths...]``):
 
 ========  ====================================================================
 U001      float-literal equality (``x == 0.0``) on physical quantities:
@@ -41,9 +41,7 @@ U002      magic conversion constant ``1000.0``/``0.001`` outside
           unit system; ERROR
 ========  ====================================================================
 
-All codes honor ``# static: ok[CODE] rationale`` suppressions; the U
-scanners additionally honor the legacy ``# lint-units: ok`` marker so
-external checkouts migrate at their own pace.
+All codes honor ``# static: ok[CODE] rationale`` suppressions.
 """
 
 from __future__ import annotations
@@ -64,13 +62,17 @@ from repro.units import DIM_NAMES, Dim
 from repro.verify.diagnostics import Diagnostic, Severity
 from repro.verify.registry import register
 
+if __name__ == "__main__":
+    # ``python -m`` runs this file a second time as ``__main__`` after
+    # the package import already registered its checks; hand over to
+    # the imported module before the decorators below re-register.
+    from repro.analysis import rules_units as _registered
+
+    sys.exit(_registered.main())
+
 #: Q004 ratchet: the fraction of public unit-bearing signature slots
 #: that must carry a dimension annotation.
 Q004_COVERAGE_THRESHOLD = 0.9
-
-#: Legacy suppression marker of the standalone unit linter; still
-#: honored alongside ``# static: ok[U00x]``.
-SUPPRESS_MARKER = "lint-units: ok"
 
 #: Float literals that duplicate repro.units conversion constants
 #: (1e3 == 1000.0 and 1e-3 == 0.001 compare equal, so two entries
@@ -224,13 +226,10 @@ def _literal_value(node: ast.expr) -> float:
 
 def _marker_suppressed(source_lines: Sequence[str], rule: str,
                        lineno: int) -> bool:
-    """Inline suppression: legacy marker or ``# static: ok[U00x]``."""
+    """Inline ``# static: ok[U00x]`` suppression."""
     if lineno < 1 or lineno > len(source_lines):
         return False
-    text = source_lines[lineno - 1]
-    if SUPPRESS_MARKER in text:
-        return True
-    match = SUPPRESS_RE.search(text)
+    match = SUPPRESS_RE.search(source_lines[lineno - 1])
     return match is not None and rule in {
         code.strip() for code in match.group(1).split(",")}
 
@@ -313,7 +312,7 @@ def check_conversion_literal(ctx: Any) -> Iterator[Diagnostic]:
     yield from _hygiene_diagnostics(ctx, "U002")
 
 
-# -- standalone path-based API (tools/lint_units.py shim) --------------------
+# -- standalone path-based API ----------------------------------------------
 
 
 def default_paths() -> List[Path]:
@@ -373,7 +372,7 @@ def lint_paths(paths: Sequence[Path]) -> List[Finding]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone CLI (``python tools/lint_units.py``); exit 1 on hits."""
+    """Standalone CLI (``python -m repro.analysis.rules_units``); exit 1 on hits."""
     parser = argparse.ArgumentParser(
         description="unit-hygiene linter (U001 float-literal equality, "
                     "U002 magic unit-conversion constants); the full "
@@ -391,3 +390,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
+

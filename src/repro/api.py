@@ -31,10 +31,6 @@ request defaults live in exactly one place: the dataclass fields.
 * :func:`fit_guide` — the inline-trained ML guide the ``*_ml``
   policies use.
 
-The pre-request call forms (``compare("ckt64", slack=0.1)``) keep
-working as deprecation shims: they build the equivalent request object,
-warn :class:`DeprecationWarning`, and produce bit-identical reports.
-
 Each report dataclass is plain data (JSON-ready via
 :func:`dataclasses.asdict` / :func:`report_to_dict`), so callers can
 persist or post-process results without touching runner internals.
@@ -43,7 +39,6 @@ persist or post-process results without touching runner internals.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from pathlib import Path
 from typing import Any, ClassVar, Optional, Sequence, Union
 
@@ -403,11 +398,10 @@ def _runner(tech: Optional[Technology], store: Any, jobs: int,
                       store=store, jobs=jobs, guide=guide)
 
 
-def _warn_legacy(name: str, hint: str) -> None:
-    warnings.warn(
-        f"api.{name}(design, ...) kwargs calls are deprecated; pass a "
-        f"{hint} instead (identical results, single source of defaults)",
-        DeprecationWarning, stacklevel=3)
+def _require(request: Any, cls: type, name: str) -> None:
+    if not isinstance(request, cls):
+        raise TypeError(f"{name}() takes a {cls.__name__}, got "
+                        f"{type(request).__name__}")
 
 
 def run(request: FlowRequest, *, jobs: int = 1, store: Any = True,
@@ -424,9 +418,19 @@ def run(request: FlowRequest, *, jobs: int = 1, store: Any = True,
                                        return_flow=False))
 
 
-def _compare_impl(request: CompareRequest, jobs: int, store: Any,
-                  tech: Optional[Technology],
-                  guide: Optional[NdrClassifierGuide]) -> CompareReport:
+def compare(request: CompareRequest, *, jobs: int = 1,
+            store: Any = True, tech: Optional[Technology] = None,
+            guide: Optional[NdrClassifierGuide] = None) -> CompareReport:
+    """Compare NO/ALL/SMART (and optionally ML) policies on one design.
+
+    Takes a :class:`CompareRequest` (the schema) plus execution-only
+    options: ``jobs`` fans cells over worker processes; ``store``
+    accepts anything :class:`~repro.runner.FlowRunner` does (``True``
+    for the per-user artifact cache, ``False``/``None`` to disable, a
+    path, or a live store); with ``with_ml`` a guide is trained inline
+    unless one is passed.
+    """
+    _require(request, CompareRequest, "compare")
     policies = [Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART]
     if request.with_ml:
         if guide is None:
@@ -445,32 +449,15 @@ def _compare_impl(request: CompareRequest, jobs: int, store: Any,
                          cells=tuple(_cell_report(r) for r in results))
 
 
-def compare(request: Union[CompareRequest, str], *, jobs: int = 1,
-            store: Any = True, tech: Optional[Technology] = None,
-            guide: Optional[NdrClassifierGuide] = None,
-            **legacy: Any) -> CompareReport:
-    """Compare NO/ALL/SMART (and optionally ML) policies on one design.
+def sweep(request: SweepRequest, *, jobs: int = 1,
+          store: Any = True, tech: Optional[Technology] = None) -> SweepReport:
+    """Sweep the budget slack for the smart policy on one design.
 
-    Takes a :class:`CompareRequest` (the schema) plus execution-only
-    options: ``jobs`` fans cells over worker processes; ``store``
-    accepts anything :class:`~repro.runner.FlowRunner` does (``True``
-    for the per-user artifact cache, ``False``/``None`` to disable, a
-    path, or a live store); with ``with_ml`` a guide is trained inline
-    unless one is passed.  The legacy ``compare(design, slack=...,
-    with_ml=...)`` form still works and warns ``DeprecationWarning``.
+    The all-NDR reference is computed once and every slack's budgets
+    derive from it — a sweep costs one reference plus one smart flow
+    per point.
     """
-    if isinstance(request, CompareRequest):
-        if legacy:
-            raise TypeError(f"unexpected kwargs with a CompareRequest: "
-                            f"{sorted(legacy)}")
-    else:
-        _warn_legacy("compare", "CompareRequest")
-        request = CompareRequest(design=str(request), **legacy)
-    return _compare_impl(request, jobs, store, tech, guide)
-
-
-def _sweep_impl(request: SweepRequest, jobs: int, store: Any,
-                tech: Optional[Technology]) -> SweepReport:
+    _require(request, SweepRequest, "sweep")
     ordered = sorted(request.slacks, reverse=True)
     runner = _runner(tech, store, jobs, None)
     matrix = RunMatrix(designs=(request.design,), policies=(Policy.SMART,),
@@ -488,31 +475,23 @@ def _sweep_impl(request: SweepRequest, jobs: int, store: Any,
     return SweepReport(design=request.design, points=tuple(points))
 
 
-def sweep(request: Union[SweepRequest, str], *, jobs: int = 1,
-          store: Any = True, tech: Optional[Technology] = None,
-          **legacy: Any) -> SweepReport:
-    """Sweep the budget slack for the smart policy on one design.
+def lint(request: Optional[LintRequest] = None, *,
+         tech: Optional[Technology] = None) -> Any:
+    """Run the verifier: a flow's DRC/ERC + oracle checks, or static.
 
-    The all-NDR reference is computed once and every slack's budgets
-    derive from it — a sweep costs one reference plus one smart flow
-    per point.  Takes a :class:`SweepRequest`; the legacy
-    ``sweep(design, slacks=...)`` form still works and warns
-    ``DeprecationWarning``.
+    With ``LintRequest(static=True)`` the whole-program determinism /
+    cache-soundness analyzer runs over ``paths`` (default: the
+    installed package) and the flow fields are ignored; ``codes``
+    restricts the run to rule families by ``fnmatch`` pattern
+    (``codes=("Q*",)`` runs only the dimension checks).  Returns the
+    report object (:class:`~repro.verify.VerifyReport` or the static
+    analyzer's report) — both expose ``has_errors``, ``render()`` and
+    ``to_json()``.  Without a request the defaults apply, which name
+    no design, so the request validation raises :class:`ValueError`.
     """
-    if isinstance(request, SweepRequest):
-        if legacy:
-            raise TypeError(f"unexpected kwargs with a SweepRequest: "
-                            f"{sorted(legacy)}")
-    else:
-        _warn_legacy("sweep", "SweepRequest")
-        if "slacks" in legacy:
-            legacy["slacks"] = tuple(float(s) for s in legacy["slacks"])
-        request = SweepRequest(design=str(request), **legacy)
-    return _sweep_impl(request, jobs, store, tech)
-
-
-def _lint_impl(request: LintRequest,
-               tech: Optional[Technology]) -> Any:
+    if request is None:
+        request = LintRequest()
+    _require(request, LintRequest, "lint")
     import repro.analysis  # registers the static D/C checks
 
     if request.static:
@@ -534,37 +513,6 @@ def _lint_impl(request: LintRequest,
                       kinds=list(request.kinds) if request.kinds else None)
 
 
-def lint(request: Union[LintRequest, str, None] = None, *,
-         tech: Optional[Technology] = None, **legacy: Any) -> Any:
-    """Run the verifier: a flow's DRC/ERC + oracle checks, or static.
-
-    With ``LintRequest(static=True)`` the whole-program determinism /
-    cache-soundness analyzer runs over ``paths`` (default: the
-    installed package) and the flow fields are ignored; ``codes``
-    restricts the run to rule families by ``fnmatch`` pattern
-    (``codes=("Q*",)`` runs only the dimension checks).  Returns the
-    report object (:class:`~repro.verify.VerifyReport` or the static
-    analyzer's report) — both expose ``has_errors``, ``render()`` and
-    ``to_json()``.  The legacy ``lint(design, policy=..., static=...)``
-    form still works and warns ``DeprecationWarning``.
-    """
-    if isinstance(request, LintRequest):
-        if legacy:
-            raise TypeError(f"unexpected kwargs with a LintRequest: "
-                            f"{sorted(legacy)}")
-    else:
-        if request is not None or legacy:
-            _warn_legacy("lint", "LintRequest")
-        for name in ("kinds", "paths", "codes"):
-            if legacy.get(name) is not None and name in legacy:
-                legacy[name] = tuple(legacy[name])
-        cleaned = {k: v for k, v in legacy.items() if v is not None}
-        if "policy" in cleaned:
-            cleaned["policy"] = _policy_name(cleaned["policy"])
-        request = LintRequest(design=str(request or ""), **cleaned)
-    return _lint_impl(request, tech)
-
-
 def execute(request: Any, *, jobs: int = 1, store: Any = True,
             tech: Optional[Technology] = None,
             guide: Optional[NdrClassifierGuide] = None) -> Any:
@@ -576,11 +524,12 @@ def execute(request: Any, *, jobs: int = 1, store: Any = True,
     if isinstance(request, FlowRequest):
         return run(request, jobs=jobs, store=store, tech=tech, guide=guide)
     if isinstance(request, CompareRequest):
-        return _compare_impl(request, jobs, store, tech, guide)
+        return compare(request, jobs=jobs, store=store, tech=tech,
+                       guide=guide)
     if isinstance(request, SweepRequest):
-        return _sweep_impl(request, jobs, store, tech)
+        return sweep(request, jobs=jobs, store=store, tech=tech)
     if isinstance(request, LintRequest):
-        return _lint_impl(request, tech)
+        return lint(request, tech=tech)
     raise TypeError(f"not a request object: {type(request).__name__}")
 
 

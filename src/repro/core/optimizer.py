@@ -31,9 +31,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Union
 
-from repro import obs, perf
+from repro import obs
 from repro.core.evaluation import AnalysisBundle, analyze_all
 from repro.core.features import WireContext, wire_contexts
 from repro.core.sensitivity import (RuleSensitivity, SensitivityCache,
@@ -59,7 +58,7 @@ class OptimizeResult:
     upgraded: dict[int, str] = field(default_factory=dict)  # wire id -> rule
     downgraded: int = 0
     runtime: float = 0.0
-    #: the incremental engine used (None on the legacy path); callers
+    #: the incremental engine used (None on the scalar path); callers
     #: may keep driving it, e.g. for a final refine + re-analysis
     engine: object = field(default=None, repr=False, compare=False)
 
@@ -87,7 +86,7 @@ class SmartNdrOptimizer:
                  tech: Technology, targets: RobustnessTargets, freq: float,
                  lambda_track: float = 0.05, max_iterations: int = 10,
                  use_shielding: bool = False,
-                 use_engine: Union[bool, str] = True,
+                 use_engine: bool = True,
                  verify_every: int = 0) -> None:
         if lambda_track < 0.0:
             raise ValueError("lambda_track must be non-negative")
@@ -96,9 +95,8 @@ class SmartNdrOptimizer:
         if verify_every < 0:
             raise ValueError("verify_every must be >= 0")
         self.use_shielding = use_shielding
-        #: ``False`` = legacy full re-analysis; ``True`` = incremental
-        #: engine on the default backend; a string names a registered
-        #: engine backend (see :mod:`repro.engine.backends`)
+        #: ``True`` = incremental engine; ``False`` = full re-analysis
+        #: on the scalar oracle path
         self.use_engine = use_engine
         #: debug mode: run the engine-coherence oracle every N applied
         #: iterations (0 = off); raises VerificationError on any ERROR
@@ -119,7 +117,7 @@ class SmartNdrOptimizer:
         """Assign rules in place on the routing; returns the final state."""
         start = time.perf_counter()  # static: ok[D002] feeds OptimizeResult.runtime metadata only
         upgraded: dict[int, str] = {}
-        with perf.phase("opt.extract"):
+        with obs.span("opt.extract"):
             extraction = extract(self.tree, self.routing)
         engine = None
         if self.use_engine:
@@ -127,11 +125,10 @@ class SmartNdrOptimizer:
             # back in, which would cycle at module-import time.
             from repro.engine import AnalysisEngine
             engine = AnalysisEngine(extraction, self.tree, self.tech,
-                                    self.freq, self.targets,
-                                    backend=self.use_engine)
+                                    self.freq, self.targets)
             self._sens_cache = SensitivityCache(self.routing,
                                                self.tech.rules)
-        with perf.phase("opt.analyze"):
+        with obs.span("opt.analyze"):
             analyses = analyze_all(extraction, self.tech, self.freq,
                                    self.targets, engine=engine)
         iterations = 0
@@ -155,7 +152,7 @@ class SmartNdrOptimizer:
             iterations += 1
             obs.counter("opt.iterations").inc()
             plan: dict[int, Move] = {}
-            with perf.phase("opt.plan"):
+            with obs.span("opt.plan"):
                 contexts = wire_contexts(self.tree, extraction)
                 if "em" in violations:
                     self._plan_em(analyses, contexts, plan)
@@ -178,13 +175,13 @@ class SmartNdrOptimizer:
             # Rule changes shift stage delays and unbalance the tree;
             # re-trim before judging, or the Monte-Carlo skew conflates
             # nominal imbalance with variation.
-            with perf.phase("opt.extract"):
+            with obs.span("opt.extract"):
                 if engine is not None:
                     engine.apply_rule_changes(plan)
-            with perf.phase("opt.refine"):
+            with obs.span("opt.refine"):
                 extraction = refine_skew(self.tree, self.routing, self.tech,
                                          engine=engine).extraction
-            with perf.phase("opt.analyze"):
+            with obs.span("opt.analyze"):
                 analyses = analyze_all(extraction, self.tech, self.freq,
                                        self.targets, engine=engine)
             if self.verify_every and iterations % self.verify_every == 0:

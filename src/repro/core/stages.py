@@ -20,8 +20,8 @@ stages, each consuming and producing serializable artifacts:
 ``analyze``
     The full robustness/power analysis bundle of the final extraction.
 
-Each stage reports into :mod:`repro.perf` under ``flow.<stage>`` so a
-profiled run shows the pipeline breakdown per cell.
+Each stage opens an :func:`repro.obs.span` named ``flow.<stage>`` so a
+traced run shows the pipeline breakdown per cell.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import perf
+from repro import obs
 from repro.core.evaluation import AnalysisBundle, analyze_all
 from repro.core.optimizer import OptimizeResult, SmartNdrOptimizer
 from repro.core.policies import (Policy, apply_random_policy,
@@ -65,18 +65,9 @@ class PolicyParams:
     random_seed: int = 0
     lambda_track: float = 0.05
     verify_every: int = 0
-    #: engine backend name ("" = default); backends are verified
-    #: bit-identical, so this is a pure performance knob and is always
-    #: stripped from the fingerprint
-    engine_backend: str = ""
 
     def normalized(self) -> "PolicyParams":
-        """Drop knobs the policy does not read (stable cache keys).
-
-        ``engine_backend`` is dropped unconditionally: every backend
-        produces bit-identical artifacts, so cached cells stay valid
-        across backend switches.
-        """
+        """Drop knobs the policy does not read (stable cache keys)."""
         if self.policy == Policy.RANDOM:
             return PolicyParams(policy=self.policy,
                                 random_fraction=self.random_fraction,
@@ -111,7 +102,7 @@ def build_stage(design: Design, tech: Technology,
         if cached is not None and isinstance(cached, PhysicalDesign):
             return cached
 
-    with perf.phase("flow.build"):
+    with obs.span("flow.build"):
         cts = synthesize_clock_tree(design, tech,
                                     max_stage_cap=params.max_stage_cap)
         routing = Router(design, tech).route(cts.tree)
@@ -131,7 +122,7 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
     freq = physical.design.clock_freq
     policy = params.policy
 
-    with perf.phase("flow.policy"):
+    with obs.span("flow.policy"):
         if policy in (Policy.NO_NDR, Policy.ALL_NDR, Policy.WIDTH_ONLY,
                       Policy.SPACE_ONLY):
             apply_uniform_policy(routing, policy)
@@ -145,9 +136,8 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
                 tree, routing, tech, targets, freq,
                 lambda_track=params.lambda_track,
                 use_shielding=(policy == Policy.SMART_SHIELD),
-                use_engine=params.engine_backend or True,
                 verify_every=params.verify_every)
-            with perf.phase("flow.optimize"):
+            with obs.span("flow.optimize"):
                 return optimizer.run()
         if policy == Policy.SMART_ML:
             if guide is None:
@@ -163,7 +153,7 @@ def retrim_stage(physical: "PhysicalDesign", engine=None) -> None:
     routing), the trim rebuilds only the touched stages instead of
     re-extracting the whole network.
     """
-    with perf.phase("flow.retrim"):
+    with obs.span("flow.retrim"):
         physical.refine = refine_skew(physical.tree, physical.routing,
                                       physical.tech, engine=engine)
 
@@ -171,7 +161,7 @@ def retrim_stage(physical: "PhysicalDesign", engine=None) -> None:
 def analyze_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
                   engine=None) -> AnalysisBundle:
     """Full analysis bundle of the (re-trimmed) extraction."""
-    with perf.phase("flow.analyze"):
+    with obs.span("flow.analyze"):
         return analyze_all(physical.extraction, physical.tech,
                            physical.design.clock_freq, targets,
                            engine=engine)

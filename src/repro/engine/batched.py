@@ -1,9 +1,8 @@
-"""Whole-design batched analysis kernel (the ``numpy-sparse`` backend).
+"""Whole-design batched analysis kernel.
 
-The dense backend (:mod:`repro.engine.kernel`) dispatches a Python
-work-stack over per-stage kernels — at 16k+ sinks the per-stage Python
-overhead, not the array math, dominates every analysis.  This module
-compiles the *entire* clock network into one concatenated
+Per-stage kernels dispatched from a Python work-stack spend their time
+in per-stage Python overhead, not array math, at 16k+ sinks.  This
+module compiles the *entire* clock network into one concatenated
 parent-pointer forest plus flat CSR-style incidence entries, so static
 timing, crosstalk, EM and Monte Carlo each run as a handful of
 vectorized sweeps over the full design:
@@ -19,15 +18,12 @@ vectorized sweeps over the full design:
   (:class:`~repro.engine.incremental.FrozenVariation`) into global
   column order and reuses the same sweeps with a trailing sample axis.
 
-Equivalence is bit-exact, not approximate: both backends issue the
-same float operations in the same order (shared treeops primitives,
-shared association for driver delay/slew/coupling sums — see the
-treeops module docstring for the ordering argument), and the
-backend-equivalence suite asserts ``np.array_equal`` across backends.
-
-Results come back in the dense backend's DFS emission order — the
-compile step precomputes the work-stack visit order so sink lists,
-arrival matrices and per-wire EM records line up row for row.
+The treeops primitives pin the float-addition order (see that module's
+docstring), so a whole-design sweep adds exactly what a per-stage walk
+would.  Results come back in the scalar analyses' DFS emission order —
+the compile step precomputes the work-stack visit order so sink lists,
+arrival matrices and per-wire EM records line up row for row with
+``analyze_clock_timing`` / ``analyze_crosstalk`` / ``run_monte_carlo``.
 """
 
 from __future__ import annotations
@@ -58,8 +54,8 @@ class _StageSlice:
     """Per-stage view into the global arenas (oracle entry point).
 
     Float arrays are numpy *views* — mutating them corrupts the live
-    kernel exactly like mutating a dense :class:`StageKernel` array,
-    which is what the verify-oracle fault-injection tests rely on.
+    kernel, which is what the verify-oracle fault-injection tests rely
+    on.
     Index arrays (``parent``, ``ent_node``, ``ent_col``) are re-based
     local copies.
     """
@@ -75,8 +71,6 @@ class _StageSlice:
 
 class BatchedNetworkKernel:
     """One clock network compiled to whole-design flat arrays."""
-
-    backend_name = "numpy-sparse"
 
     def __init__(self, network: ClockRcNetwork, routing: RoutingResult,
                  parasitics: dict[int, WireParasitics]) -> None:
@@ -209,7 +203,7 @@ class BatchedNetworkKernel:
             level = [child_stage[fi] for fi in lconn]
         self._sched = sched
 
-        # Flop emission order: the dense backend's DFS work-stack order
+        # Flop emission order: the scalar analyses' DFS work-stack order
         # (stack is LIFO, so the last-pushed child stage runs first).
         emit: list[int] = []
         work = [network.root_stage] if n_stages else []
@@ -252,14 +246,14 @@ class BatchedNetworkKernel:
         """Drop every derived-array cache (benchmark / debugging hook)."""
         self._invalidate()
 
-    # -- incremental updates (NetworkKernel-compatible API) ----------------
+    # -- incremental updates -------------------------------------------------
 
     @property
     def num_stages(self) -> int:
         return len(self.network.stages)
 
     def stage_view(self, stage_idx: int) -> _StageSlice:
-        """Backend-agnostic per-stage array view (oracle entry point)."""
+        """Per-stage array view (oracle entry point)."""
         self._ensure()
         b0 = int(self.node_base[stage_idx])
         b1 = int(self.node_base[stage_idx + 1])
@@ -336,7 +330,7 @@ class BatchedNetworkKernel:
 
         ``t[sink] = entry[stage] (+ stage_base[stage]) + per_sink[sink]``
         with each connector sink's ``t`` becoming its child stage's
-        entry — the association of the dense backend's work-stack walk,
+        entry — the association of the scalar analyses' work-stack walk,
         level-batched.  Works for 1-D values and for ``(sinks, samples)``
         Monte-Carlo matrices alike.
         """

@@ -1,8 +1,8 @@
 """Order-controlled scatter-add passes over parent-pointer forests.
 
-Both analysis backends (the per-stage ``numpy-dense`` kernels and the
-whole-design ``numpy-sparse`` batched kernel) reduce every tree
-computation to three primitives over a parent-pointer array:
+The whole-design batched kernel (:mod:`repro.engine.batched`) reduces
+every tree computation to three primitives over a parent-pointer
+array:
 
 * :func:`accumulate_downstream` — bottom-up suffix sum (downstream
   capacitance), the vectorised replacement for the legacy reversed
@@ -12,9 +12,9 @@ computation to three primitives over a parent-pointer array:
 * :func:`scatter_add` — entry-ordered incidence application (per-node
   wire capacitance), replacing the dense node x wire matmul.
 
-Floating-point addition is not associative, so *backend equivalence to
-the bit* requires both backends to issue the same additions in the same
-order.  The primitives pin that order down:
+Floating-point addition is not associative, so *equivalence to the
+bit* with the per-stage loops requires issuing the same additions in
+the same order.  The primitives pin that order down:
 
 * ``accumulate_downstream`` processes depth levels deepest-first and,
   within a level, nodes in **descending index order** — exactly the
@@ -34,8 +34,7 @@ order.  The primitives pin that order down:
 Because additions into a parent only ever come from its own children
 (same stage, same level), the primitives produce bit-identical results
 whether a forest is processed stage-by-stage or as one concatenated
-whole-design forest — the property the backend-equivalence suite
-asserts.
+whole-design forest.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def scatter_add(out: np.ndarray, index: np.ndarray,
     """Entry-ordered ``out[index[e]] += values[e]``, in place.
 
     ``np.add.at`` applies duplicate indices sequentially in entry
-    order, which is the ordering contract the backends share for
+    order, which is the ordering contract every caller relies on for
     incidence (node <- wire capacitance) application.
     """
     np.add.at(out, index, values)

@@ -23,9 +23,8 @@ Cross-process propagation is explicit and identity-preserving:
   parent span, and merges the metric deltas.
 
 Because every span is one record adopted at most once, totals can never
-double-count — the failure mode of the old :mod:`repro.perf` flat-dict
-merge, where a cell executed in-process on a cache fallback was folded
-into the parent's totals twice.
+double-count — a flat name-keyed merge would fold a cell executed
+in-process on a cache fallback into the parent's totals twice.
 """
 
 from __future__ import annotations
@@ -108,10 +107,10 @@ class Tracer:
     def phase_totals(self) -> dict[str, dict[str, float]]:
         """Per-name totals, ``{name: {seconds, calls}}``.
 
-        The :mod:`repro.perf`-compatible breakdown: nested spans are
-        counted under their own name *and* inside their enclosing
-        span's duration (a breakdown, not a partition).  Open spans
-        are skipped — only finished work is attributed.
+        A flat phase breakdown: nested spans are counted under their
+        own name *and* inside their enclosing span's duration (a
+        breakdown, not a partition).  Open spans are skipped — only
+        finished work is attributed.
         """
         out: dict[str, dict[str, float]] = {}
         for record in self.records:
@@ -226,8 +225,8 @@ def capture(name: str = "capture", reroot: bool = True) -> Iterator[Tracer]:
     current span — the outer trace still sees every span, but each one
     exactly once, keyed by identity rather than flat-merged by name.
     This is how the runner gives every job its own trace without
-    losing the spans from a ``--trace`` session total, and it is the
-    span-identity fix for the old ``perf.capture`` double-count.
+    losing the spans from a ``--trace`` session total, without ever
+    counting one twice.
     """
     global _TRACER
     outer = _TRACER

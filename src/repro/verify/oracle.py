@@ -19,10 +19,13 @@ import math
 from typing import Iterator
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.sensitivity import _what_if_parasitics
-from repro.engine.kernel import StageKernel
 from repro.extract.capmodel import WireParasitics, extract_wire
+from repro.extract.rcnetwork import Stage
+from repro.route.router import RoutingResult
+from repro.route.wires import RoutedWire
 from repro.tech.ndr import rule_by_name
 from repro.timing.montecarlo import wire_variation_factors
 from repro.verify.context import VerifyContext
@@ -190,6 +193,76 @@ def check_neighbor_index_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
                         f"{sorted(have)}; inverse of the forward map is "
                         f"{sorted(want)}", wire_id=nid,
                 hint="forward and reverse maps were updated out of step")
+
+
+class StageKernel:
+    """One stage compiled afresh to arrays: the ``kernel-sync`` reference.
+
+    The readable per-stage mirror of the arrays the engine's batched
+    kernel patches in place:
+
+    * per-node ``parent`` / ``r`` / ``cap_fixed`` vectors in node index
+      order (topological: parents precede children);
+    * a flat incidence entry list ``(ent_node, ent_col)`` — one entry
+      per (node, local wire) capacitance site, in extraction order;
+    * per-wire half-cap vectors (``area_half``, ``rest_half``,
+      ``cc_half``, ``act_half``) and geometry (``width``,
+      ``thickness``, ``jmax``), one column per wire ordered by far-node
+      index (every wire owns exactly one node).
+    """
+
+    def __init__(self, stage: Stage,
+                 parasitics: dict[int, WireParasitics],
+                 routing: RoutingResult) -> None:
+        nodes = stage.nodes
+        self.n = len(nodes)
+        self.parent: npt.NDArray[np.int64] = np.array(
+            [-1 if nd.parent is None else nd.parent for nd in nodes],
+            dtype=np.int64)
+        self.r: npt.NDArray[np.float64] = np.array(
+            [nd.r for nd in nodes], dtype=np.float64)
+        self.cap_fixed: npt.NDArray[np.float64] = np.array(
+            [nd.cap_fixed for nd in nodes], dtype=np.float64)
+
+        col_of: dict[int, int] = {}
+        self.wire_ids: list[int] = []
+        for nd in nodes:
+            if nd.wire_id is not None:
+                col_of[nd.wire_id] = len(self.wire_ids)
+                self.wire_ids.append(nd.wire_id)
+        m = len(self.wire_ids)
+
+        ent_node: list[int] = []
+        ent_col: list[int] = []
+        for nd in nodes:
+            for wid, _a, _b in nd.cap_wire:
+                ent_node.append(nd.idx)
+                ent_col.append(col_of[wid])
+        self.ent_node: npt.NDArray[np.int64] = np.array(ent_node,
+                                                        dtype=np.int64)
+        self.ent_col: npt.NDArray[np.int64] = np.array(ent_col,
+                                                       dtype=np.int64)
+
+        self.area_half: npt.NDArray[np.float64] = np.zeros(m)
+        self.rest_half: npt.NDArray[np.float64] = np.zeros(m)
+        self.cc_half: npt.NDArray[np.float64] = np.zeros(m)
+        self.act_half: npt.NDArray[np.float64] = np.zeros(m)
+        self.width: npt.NDArray[np.float64] = np.zeros(m)
+        self.thickness: npt.NDArray[np.float64] = np.zeros(m)
+        self.jmax: npt.NDArray[np.float64] = np.ones(m)
+        for wid, col in col_of.items():
+            self._load_wire(col, parasitics[wid], routing.tracks.wire(wid))
+
+    def _load_wire(self, col: int, para: WireParasitics,
+                   wire: RoutedWire) -> None:
+        self.area_half[col] = para.c_area / 2.0
+        self.rest_half[col] = para.c_rest / 2.0
+        self.cc_half[col] = para.cc_signal / 2.0
+        self.act_half[col] = sum(
+            e.cc * e.activity for e in para.couplings) / 2.0
+        self.width[col] = wire.width
+        self.thickness[col] = wire.layer.thickness
+        self.jmax[col] = wire.layer.em_jmax
 
 
 @register("kernel-sync", kind="oracle")

@@ -167,17 +167,16 @@ def test_trace_subcommand_rejects_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_profile_flag_is_deprecated_trace_alias(tmp_path, capsys,
+def test_bare_trace_flag_prints_phase_breakdown(tmp_path, capsys,
                                                 tiny_design):
     from repro.io import save_design
 
     design_path = tmp_path / "d.json"
     save_design(tiny_design, design_path)
-    code = main(["--profile", "run", "--design", str(design_path),
-                 "--no-cache"])
+    code = main(["run", "--design", str(design_path), "--no-cache",
+                 "--trace"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "deprecated" in captured.err
     assert "phase breakdown" in captured.out
 
 

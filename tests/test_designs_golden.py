@@ -1,8 +1,8 @@
 """Golden content hashes: every registered design regenerates bit-identically.
 
-The ``ckt*`` values were captured from the pre-corpus generator
-(``repro.bench.designs``), so they prove the refactor preserved every
-array bit-for-bit; the ``soc_*``/``imp_*`` values pin the new families
+The ``ckt*`` values were captured from the generator that predates
+the design corpus, so they prove the refactor preserved every array
+bit-for-bit; the ``soc_*``/``imp_*`` values pin the new families
 against accidental drift.  The hash covers the *full* serialized design
 (``design_to_dict``, name included) — it guards geometry, not cache
 identity; cache-key naming invariance is tested separately below.

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench import generate_design
+from repro.designs import generate_design
 from repro.core.flow import run_flow
 from repro.core.optimizer import SmartNdrOptimizer
 from repro.core.policies import Policy
