@@ -311,9 +311,9 @@ def check_env_seam(ctx: Any) -> Iterator[Diagnostic]:
             message=f"{origin.detail}: {problem} "
                     f"[reached via {_render_path(item.path)}]",
             obj=f"{origin.module}:{origin.lineno}",
-            hint="workers see only the forwarded variables, captured "
-                 "once by the pool initializer; read configuration "
-                 "before the pool starts and pass it as an argument")
+            hint="workers honor only the whitelisted variables; read "
+                 "other configuration before the pool starts and pass "
+                 "it as an argument")
 
     for group in groups:
         for item in transitive_origins(program, group.entry,
@@ -322,7 +322,7 @@ def check_env_seam(ctx: Any) -> Iterator[Diagnostic]:
             if origin.effect is Effect.ENV_WRITE:
                 yield from emit(
                     item, "worker code must not write os.environ — only "
-                          "the pool initializer replays forwarded "
+                          "a pool initializer may set whitelisted "
                           "variables")
             elif origin.env_var is None or origin.env_var not in whitelist:
                 yield from emit(

@@ -93,6 +93,18 @@ class CellReport:
     summary: dict[str, float]
     rule_histogram: dict[str, int]
 
+    @classmethod
+    def from_result(cls, result: JobResult) -> "CellReport":
+        """Flatten one runner :class:`~repro.runner.JobResult`."""
+        return cls(design=result.job.design,
+                   policy=result.job.policy.value,
+                   slack=result.job.slack,
+                   feasible=result.feasible,
+                   cached=result.cached,
+                   runtime_s=result.runtime,
+                   summary=dict(result.summary),
+                   rule_histogram=dict(result.rule_histogram))
+
     @property
     def power_uw(self) -> float:
         return self.summary["power_uw"]
@@ -139,17 +151,6 @@ class SweepReport:
 
     design: str
     points: tuple[SweepPoint, ...]
-
-
-def _cell_report(result: JobResult) -> CellReport:
-    return CellReport(design=result.job.design,
-                      policy=result.job.policy.value,
-                      slack=result.job.slack,
-                      feasible=result.feasible,
-                      cached=result.cached,
-                      runtime_s=result.runtime,
-                      summary=dict(result.summary),
-                      rule_histogram=dict(result.rule_histogram))
 
 
 # -- request dataclasses -------------------------------------------------------
@@ -414,8 +415,8 @@ def run(request: FlowRequest, *, jobs: int = 1, store: Any = True,
     if Policy(request.policy) == Policy.SMART_ML and guide is None:
         guide = fit_guide(tech=tech)
     runner = _runner(tech, store, jobs, guide)
-    return _cell_report(runner.run_job(request.job_spec(),
-                                       return_flow=False))
+    return CellReport.from_result(runner.run_job(request.job_spec(),
+                                                 return_flow=False))
 
 
 def compare(request: CompareRequest, *, jobs: int = 1,
@@ -446,7 +447,8 @@ def compare(request: CompareRequest, *, jobs: int = 1,
     saving = 100.0 * (p_all - p_smart) / p_all
     return CompareReport(design=request.design, slack=request.slack,
                          smart_saving_pct=saving,
-                         cells=tuple(_cell_report(r) for r in results))
+                         cells=tuple(CellReport.from_result(r)
+                                     for r in results))
 
 
 def sweep(request: SweepRequest, *, jobs: int = 1,

@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -72,20 +71,6 @@ def _runner(args, guide=None) -> FlowRunner:
     return FlowRunner(tech=default_technology(),
                       store=not getattr(args, "no_cache", False),
                       jobs=getattr(args, "jobs", 1), guide=guide)
-
-
-def _result_dict(result) -> dict:
-    """One JSON row per cell (mirrors ``repro lint --json``'s spirit)."""
-    return {
-        "design": result.job.design,
-        "policy": result.job.policy.value,
-        "slack": result.job.slack,
-        "feasible": result.feasible,
-        "cached": result.cached,
-        "runtime_s": result.runtime,
-        "summary": result.summary,
-        "rule_histogram": result.rule_histogram,
-    }
 
 
 def _report_row(table: Table, cell: CellReport) -> None:
@@ -174,17 +159,12 @@ def cmd_run(args) -> int:
     runner = _runner(args, guide=guide)
     result = runner.run_job(request.job_spec(), return_flow=True)
     flow = result.flow
+    cell = CellReport.from_result(result)
     if args.json:
-        print(json.dumps(_result_dict(result), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(cell), indent=2, sort_keys=True))
     else:
         table = _policy_table(f"{args.design} under {policy.value}")
-        s = result.summary
-        hist = result.rule_histogram
-        table.add_row(policy.value, s["power_uw"], s["wire_cap_ff"],
-                      s["skew_ps"], s["worst_delta_ps"], s["skew_3sigma_ps"],
-                      int(s["em_violations"]),
-                      sum(hist.values()) - hist.get("W1S1", 0),
-                      "yes" if result.feasible else "NO")
+        _report_row(table, cell)
         print(table.render())
     if args.verbose and not args.json:
         from repro.reporting import analysis_summary
@@ -496,7 +476,6 @@ def cmd_serve(args) -> int:
 
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        verify=bool(os.environ.get("REPRO_VERIFY_FLOWS")),
         store_root=args.store or None,
         max_store_bytes=args.max_store_bytes,
         warm=not args.no_warm)

@@ -37,7 +37,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union
 
 from repro import obs
 
@@ -296,15 +296,6 @@ class ArtifactStore:
             self.path_for(key).unlink()
         except OSError:
             pass
-
-    def fetch(self, key: str, build: Callable[..., Any],
-              *args: Any, **kwargs: Any) -> Any:
-        """``load(key)`` or build-and-save: the one-call cache pattern."""
-        obj = self.load(key)
-        if obj is None:
-            obj = build(*args, **kwargs)
-            self.save(key, obj)
-        return obj
 
     # -- pinning (in-flight waiter protection) --------------------------------
 

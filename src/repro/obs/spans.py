@@ -16,15 +16,16 @@ the same trace *shape* on every run and in every process.
 
 Cross-process propagation is explicit and identity-preserving:
 
-* a worker runs under a fresh captured tracer (:func:`capture`) and
-  ships :meth:`Tracer.export_payload` back with its result;
+* only a pool worker captures: it runs each task under a fresh tracer
+  (:func:`capture`) and ships :meth:`Tracer.export_payload` back with
+  its result;
 * the parent calls :meth:`Tracer.adopt`, which re-ids the records onto
   its own counter, re-roots the payload's root spans under a chosen
   parent span, and merges the metric deltas.
 
-Because every span is one record adopted at most once, totals can never
-double-count — a flat name-keyed merge would fold a cell executed
-in-process on a cache fallback into the parent's totals twice.
+Work that runs in-process spans on the installed tracer directly, so
+every span is recorded exactly once — on the tracer that ran it, then
+adopted at most once by the parent.
 """
 
 from __future__ import annotations
@@ -121,13 +122,6 @@ class Tracer:
             entry["calls"] += 1
         return out
 
-    def children_of(self) -> dict[Optional[int], list[SpanRecord]]:
-        """Parent id -> ordered child records (``None`` = the roots)."""
-        table: dict[Optional[int], list[SpanRecord]] = {}
-        for record in self.records:
-            table.setdefault(record.parent_id, []).append(record)
-        return table
-
     # -- cross-process propagation -------------------------------------------
 
     def export_payload(self) -> dict[str, Any]:
@@ -216,17 +210,14 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[SpanRecord]]:
 
 
 @contextmanager
-def capture(name: str = "capture", reroot: bool = True) -> Iterator[Tracer]:
+def capture(name: str = "capture") -> Iterator[Tracer]:
     """Run the block under a fresh tracer; yield it.
 
     The installed tracer (if any) is swapped out for the block and
-    restored afterwards.  With ``reroot`` (the default), the captured
-    trace is then adopted into the outer tracer under the context's
-    current span — the outer trace still sees every span, but each one
-    exactly once, keyed by identity rather than flat-merged by name.
-    This is how the runner gives every job its own trace without
-    losing the spans from a ``--trace`` session total, without ever
-    counting one twice.
+    restored afterwards; the block's spans and metrics stay on the
+    yielded tracer.  Pool workers run each task this way and ship
+    :meth:`Tracer.export_payload` home, where the parent folds it in
+    once with :meth:`Tracer.adopt`.
     """
     global _TRACER
     outer = _TRACER
@@ -238,6 +229,3 @@ def capture(name: str = "capture", reroot: bool = True) -> Iterator[Tracer]:
     finally:
         _STACK.reset(stack_token)
         _TRACER = outer  # static: ok[D004] restores the outer tracer; tracing state never crosses processes
-        if outer is not None and reroot:
-            outer.adopt(inner.export_payload(),
-                        parent_id=current_span_id())

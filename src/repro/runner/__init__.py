@@ -10,13 +10,13 @@ runs.  This package turns that matrix into a schedulable workload:
   reference jobs, and content-addresses builds and finished cells
   through the :class:`~repro.io.artifacts.ArtifactStore`;
 * :class:`~repro.runner.runner.JobResult` — the per-cell record
-  streamed back to the parent (summary metrics, phase timings,
-  verification diagnostics).
+  streamed back to the parent (summary metrics, rule histogram and,
+  from a pool worker, the cell's trace payload).
 """
 
 from repro.runner.matrix import (DesignRef, JobSpec, RunMatrix,
                                  design_ref_fingerprint, expand_design_refs,
-                                 matrix_of, resolve_design)
+                                 resolve_design)
 from repro.runner.runner import FlowRunner, JobResult
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "RunMatrix",
     "design_ref_fingerprint",
     "expand_design_refs",
-    "matrix_of",
     "resolve_design",
 ]

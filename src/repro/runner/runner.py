@@ -15,24 +15,22 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
 * an ALL-NDR cell is the reference flow under different budgets — the
   runner re-wraps the cached reference instead of re-running it.
 
-Workers stream a full :mod:`repro.obs` trace — their span tree plus
-metric deltas — and static verification diagnostics back to the
-parent inside each :class:`JobResult`; when the parent session is
-traced, :meth:`FlowRunner.run` re-roots every worker trace under its
-``runner.matrix`` span, so a parallel run yields one coherent trace.
-The ``REPRO_VERIFY_FLOWS`` hook fires identically inside workers (the
-pool initializer forwards the parent's setting into each worker's
-environment before any flow runs).
+Every cell is one ``runner.cell`` span on the installed tracer.  A
+pool worker captures its cell and streams the :mod:`repro.obs` payload
+— span tree plus metric deltas — back on :attr:`JobResult.trace`; when
+the parent session is traced, :meth:`FlowRunner.run` adopts each one
+under its ``runner.matrix`` span, so a parallel run yields one coherent
+trace.  Flow verification is ``run_flow``'s ``REPRO_VERIFY_FLOWS``
+hook alone; workers inherit the variable with the parent's environment.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from repro import obs
 from repro.core.flow import FlowResult, run_flow
@@ -47,8 +45,8 @@ from repro.tech.technology import Technology, default_technology
 #: (worst_delta_ps, skew_3sigma_ps) of a design's all-NDR reference.
 RefMetrics = tuple[float, float]
 
-#: Environment variables the runner deliberately forwards into (or
-#: honors inside) worker processes.  The static determinism analyzer
+#: Environment variables worker processes honor (they inherit the
+#: parent's environment).  The static determinism analyzer
 #: (``repro lint --static``) allows env access to exactly these names
 #: from worker-reachable code; reading anything else is a D003/S003
 #: finding because a worker would silently diverge from the parent.
@@ -60,13 +58,12 @@ FORWARDED_ENV_WHITELIST: tuple[str, ...] = ("REPRO_VERIFY_FLOWS",
 class JobResult:
     """What one matrix cell streams back to the parent.
 
-    Always lightweight-serializable: summary metrics, rule histogram,
-    per-phase timings and verification diagnostics.  ``trace`` is the
-    cell's full span tree + metric deltas
-    (:meth:`repro.obs.Tracer.export_payload`) when the cell ran under
-    a tracer the caller cannot see (a worker process, or an untraced
-    parent); it is ``None`` once a traced parent has adopted it —
-    adoption is by span identity, exactly once.  The full
+    Always lightweight-serializable: summary metrics and the rule
+    histogram.  ``trace`` is the cell's span tree + metric deltas
+    (:meth:`repro.obs.Tracer.export_payload`) when the cell ran in a
+    pool worker; it is ``None`` for in-process cells (their spans land
+    on the installed tracer directly) and once a traced parent has
+    adopted it — adoption is by span identity, exactly once.  The full
     :class:`FlowResult` rides along only when the caller asked for it
     (``return_flows=True``); it is pickled across the process boundary
     in that case.
@@ -78,8 +75,6 @@ class JobResult:
     ndr_track_cost: float
     feasible: bool
     runtime: float
-    phases: dict[str, dict[str, float]] = field(default_factory=dict)
-    diagnostics: list[dict[str, object]] = field(default_factory=list)
     cached: bool = False
     trace: Optional[dict[str, Any]] = None
     flow: Optional[FlowResult] = None
@@ -91,7 +86,6 @@ class _ExecContext:
 
     tech: Technology
     store: Optional[ArtifactStore]
-    verify: bool
     guide: object = None
     return_flows: bool = False
 
@@ -136,27 +130,13 @@ def _cell_key(job: JobSpec, ctx: _ExecContext,
     return content_key("flow-cell", **parts)
 
 
-def _verify_diagnostics(flow: FlowResult, label: str) -> list[dict[str, object]]:
-    """Run the static verifier; return diagnostics, raise on ERRORs."""
-    from repro.verify import (VerificationError, VerifyContext, run_checks)
-
-    report = run_checks(VerifyContext.from_flow(flow))
-    if report.has_errors:
-        raise VerificationError(report, label)
-    return [d.to_dict() for d in report.diagnostics]
-
-
 def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
                  ctx: _ExecContext) -> JobResult:
     """Run (or load) one cell and package the streamed result.
 
-    The cell always executes under a captured tracer wrapped in one
-    ``runner.cell`` span, so per-phase timings stream back even when
-    the session is untraced.  A traced caller sees the cell's spans
-    re-rooted under its current span on capture exit (identity
-    adoption, so cells run in-process on a cache fallback are never
-    counted twice); otherwise the payload rides back on ``JobResult.trace``
-    for the parent process to adopt.
+    The cell is one ``runner.cell`` span on the installed tracer (free
+    when the session is untraced); :func:`_pool_run` captures it in a
+    worker.
     """
     start = time.perf_counter()  # static: ok[D002] feeds JobResult.runtime metadata only
     design = resolve_design(job.design)
@@ -164,46 +144,40 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
     store = ctx.store
     key = _cell_key(job, ctx, targets) if store is not None else None
 
-    with obs.capture(f"cell:{job.label}") as tracer:
-        with tracer.span(obs.CELL_SPAN, cell=job.label,
-                         design=str(job.design),
-                         policy=job.policy.value) as cell:
-            flow: Optional[FlowResult] = None
-            cached = False
+    with obs.span(obs.CELL_SPAN, cell=job.label, design=str(job.design),
+                  policy=job.policy.value) as cell:
+        flow: Optional[FlowResult] = None
+        cached = False
+        if key is not None and store is not None:
+            loaded = store.load(key)
+            if isinstance(loaded, FlowResult):
+                flow, cached = loaded, True
+        if flow is None and key is not None and store is not None \
+                and job.policy == Policy.ALL_NDR and job.slack is not None:
+            # An ALL-NDR cell is the reference flow under pegged
+            # budgets; re-wrap the cached reference instead of
+            # re-running it (deterministic, so numerically identical).
+            ref_job = job.reference_job()
+            assert ref_job is not None  # slack is not None here
+            ref_targets = _reference_targets(design, ctx.tech, None, None)
+            ref_key = _cell_key(ref_job, ctx, ref_targets)
+            reference = store.load(ref_key)
+            if isinstance(reference, FlowResult):
+                flow, cached = replace(reference, targets=targets), True
+                store.save(key, flow)
+        if flow is None:
+            flow = run_flow(design, ctx.tech, policy=job.policy,
+                            targets=targets,
+                            random_fraction=job.random_fraction,
+                            random_seed=job.random_seed,
+                            lambda_track=job.lambda_track,
+                            guide=ctx.guide, store=ctx.store)
             if key is not None and store is not None:
-                loaded = store.load(key)
-                if isinstance(loaded, FlowResult):
-                    flow, cached = loaded, True
-            if flow is None and key is not None and store is not None \
-                    and job.policy == Policy.ALL_NDR and job.slack is not None:
-                # An ALL-NDR cell is the reference flow under pegged
-                # budgets; re-wrap the cached reference instead of
-                # re-running it (deterministic, so numerically identical).
-                ref_job = job.reference_job()
-                assert ref_job is not None  # slack is not None here
-                ref_targets = _reference_targets(design, ctx.tech, None, None)
-                ref_key = _cell_key(ref_job, ctx, ref_targets)
-                reference = store.load(ref_key)
-                if isinstance(reference, FlowResult):
-                    flow, cached = replace(reference, targets=targets), True
-                    store.save(key, flow)
-            if flow is None:
-                flow = run_flow(design, ctx.tech, policy=job.policy,
-                                targets=targets,
-                                random_fraction=job.random_fraction,
-                                random_seed=job.random_seed,
-                                lambda_track=job.lambda_track,
-                                guide=ctx.guide, store=ctx.store)
-                if key is not None and store is not None:
-                    store.save(key, flow)
-            diagnostics: list[dict[str, object]] = []
-            if ctx.verify:
-                diagnostics = _verify_diagnostics(flow, f"runner:{job.label}")
+                store.save(key, flow)
+        if cell is not None:
             cell.attrs["cached"] = cached
-            tracer.metrics.counter(
-                "runner.cells_cached" if cached
-                else "runner.cells_computed").inc()
-        phases = tracer.phase_totals()
+        obs.counter("runner.cells_cached" if cached
+                    else "runner.cells_computed").inc()
 
     return JobResult(
         job=job,
@@ -212,10 +186,7 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
         ndr_track_cost=flow.ndr_track_cost,
         feasible=flow.feasible,
         runtime=time.perf_counter() - start,  # static: ok[D002] feeds JobResult.runtime metadata only
-        phases=phases,
-        diagnostics=diagnostics,
         cached=cached,
-        trace=None if obs.active() is not None else tracer.export_payload(),
         flow=flow if ctx.return_flows else None,
     )
 
@@ -225,33 +196,29 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
 _WORKER_CTX: Optional[_ExecContext] = None
 
 
-def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
+def _pool_init(tech: Technology, store_root: Optional[str],
                guide: object, return_flows: bool) -> None:
-    """Per-worker initializer: rebuild the execution context.
-
-    ``REPRO_VERIFY_FLOWS`` is forwarded explicitly — captured once in
-    the parent, replayed here — so the in-flow verification hook
-    behaves in workers exactly as it would in the parent, regardless
-    of how the pool was spawned.
-    """
+    """Per-worker initializer: rebuild the execution context."""
     global _WORKER_CTX
     # A forked worker inherits the parent's installed tracer; drop it so
-    # every cell's trace streams back on JobResult.trace (the parent
-    # adopts it exactly once) instead of vanishing into the fork copy.
+    # no span lands in the fork's copy of the parent's buffers.
     obs.disable()
-    if verify:
-        os.environ["REPRO_VERIFY_FLOWS"] = "1"
-    else:
-        os.environ.pop("REPRO_VERIFY_FLOWS", None)
     store = ArtifactStore(store_root) if store_root is not None else None
-    _WORKER_CTX = _ExecContext(tech=tech, store=store, verify=verify,  # static: ok[D004] per-worker context slot, written once by the pool initializer before any job runs
-                               guide=guide, return_flows=return_flows)
+    _WORKER_CTX = _ExecContext(tech=tech, store=store, guide=guide,  # static: ok[D004] per-worker context slot, written once by the pool initializer before any job runs
+                               return_flows=return_flows)
 
 
 def _pool_run(job: JobSpec, metrics: Optional[RefMetrics]) -> JobResult:
-    """Pool entry point: execute one job under the worker context."""
+    """Pool entry point: execute one job under a captured tracer.
+
+    The cell's span tree and metric deltas ride back on
+    :attr:`JobResult.trace` for the parent to adopt.
+    """
     assert _WORKER_CTX is not None, "pool used before initialization"
-    return _execute_job(job, metrics, _WORKER_CTX)
+    with obs.capture(f"cell:{job.label}") as tracer:
+        result = _execute_job(job, metrics, _WORKER_CTX)
+    result.trace = tracer.export_payload()
+    return result
 
 
 class FlowRunner:
@@ -272,15 +239,11 @@ class FlowRunner:
         Fitted :class:`~repro.core.mlguide.NdrClassifierGuide` for
         SMART_ML cells; shipped to each worker once via the pool
         initializer.
-    verify:
-        Run the static verifier on every cell and stream its
-        diagnostics back.  ``None`` follows ``REPRO_VERIFY_FLOWS``.
     """
 
     def __init__(self, tech: Optional[Technology] = None,
                  store: Union[ArtifactStore, str, Path, None, bool] = True,
-                 jobs: int = 1, guide: object = None,
-                 verify: Optional[bool] = None) -> None:
+                 jobs: int = 1, guide: object = None) -> None:
         self.tech = tech if tech is not None else default_technology()
         resolved: Optional[ArtifactStore]
         if isinstance(store, ArtifactStore):
@@ -294,17 +257,13 @@ class FlowRunner:
         self.store: Optional[ArtifactStore] = resolved
         self.jobs = max(1, int(jobs))
         self.guide = guide
-        if verify is None:
-            verify = bool(os.environ.get("REPRO_VERIFY_FLOWS"))
-        self.verify = verify
         self._ref_metrics: dict[DesignRef, RefMetrics] = {}
 
     # -- single-cell API ------------------------------------------------------
 
     def _context(self, return_flows: bool) -> _ExecContext:
         return _ExecContext(tech=self.tech, store=self.store,
-                            verify=self.verify, guide=self.guide,
-                            return_flows=return_flows)
+                            guide=self.guide, return_flows=return_flows)
 
     def run_job(self, job: JobSpec, return_flow: bool = True) -> JobResult:
         """Execute one cell in-process (references resolved as needed)."""
@@ -344,16 +303,14 @@ class FlowRunner:
     # -- matrix API -----------------------------------------------------------
 
     def run(self, matrix: Union[RunMatrix, Iterable[JobSpec]],
-            jobs: Optional[int] = None, return_flows: bool = False,
-            on_result: Optional[Callable[[JobResult], None]] = None
-            ) -> list[JobResult]:
+            jobs: Optional[int] = None,
+            return_flows: bool = False) -> list[JobResult]:
         """Execute every cell; results in matrix order.
 
         Phase 1 computes the deduplicated all-NDR references (one per
         design, shared by every slack and policy); phase 2 runs the
-        cells.  With ``jobs > 1`` both phases use a process pool.
-        Duplicate cells execute once and fan out to every position.
-        ``on_result`` fires in completion order as cells finish.
+        cells.  With ``jobs > 1`` both phases use a process pool and
+        duplicate cells execute once, fanning out to every position.
 
         When the session is traced, the whole run is one
         ``runner.matrix`` span; every worker's streamed trace payload
@@ -379,25 +336,18 @@ class FlowRunner:
             if n_workers <= 1:
                 for ref in ref_jobs:
                     self.reference(ref.design)
-                serial: list[JobResult] = []
-                for job in job_list:
-                    result = self.run_job(job, return_flow=return_flows)
-                    if on_result is not None:
-                        on_result(result)
-                    serial.append(result)
-                return serial
-            results = self._run_pool(job_list, ref_jobs, n_workers,
-                                     return_flows, on_result, matrix_span)
-        return results
+                return [self.run_job(job, return_flow=return_flows)
+                        for job in job_list]
+            return self._run_pool(job_list, ref_jobs, n_workers,
+                                  return_flows, matrix_span)
 
     def _run_pool(self, job_list: list[JobSpec], ref_jobs: list[JobSpec],
                   n_workers: int, return_flows: bool,
-                  on_result: Optional[Callable[[JobResult], None]],
                   matrix_span: Optional[obs.SpanRecord]) -> list[JobResult]:
         """The pooled phases of :meth:`run` (references, then cells)."""
         tracer = obs.active()
 
-        def absorb(result: JobResult) -> None:
+        def absorb(result: JobResult) -> JobResult:
             # Re-root the worker's span tree + metric deltas under the
             # matrix span, once; the payload is consumed so no later
             # pass can count it again.
@@ -406,13 +356,14 @@ class FlowRunner:
                           if matrix_span is not None else None)
                 tracer.adopt(result.trace, parent_id=parent)
                 result.trace = None
+            return result
 
         with ProcessPoolExecutor(
                 max_workers=n_workers,
                 initializer=_pool_init,
                 initargs=(self.tech,
                           str(self.store.root) if self.store else None,
-                          self.verify, self.guide, return_flows)) as pool:
+                          self.guide, return_flows)) as pool:
             # Phase 1: deduplicated upstream references.
             for result in pool.map(_pool_run, ref_jobs,
                                    [None] * len(ref_jobs)):
@@ -422,27 +373,11 @@ class FlowRunner:
                     (result.summary["worst_delta_ps"],
                      result.summary["skew_3sigma_ps"]))
 
-            # Phase 2: the cells, duplicates submitted once.
-            unique: dict[JobSpec, list[int]] = {}
-            for i, job in enumerate(job_list):
-                unique.setdefault(job, []).append(i)
+            # Phase 2: the cells, duplicates executed once.
+            unique = list(dict.fromkeys(job_list))
             obs.counter("runner.cells_deduped").inc(
                 len(job_list) - len(unique))
-            future_of = {
-                pool.submit(_pool_run, job, self._metrics_for(job)): job
-                for job in unique
-            }
-            slots: list[Optional[JobResult]] = [None] * len(job_list)
-            pending = set(future_of)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    result = future.result()
-                    absorb(result)
-                    if on_result is not None:
-                        on_result(result)
-                    for i in unique[future_of[future]]:
-                        slots[i] = result
-        results = [r for r in slots if r is not None]
-        assert len(results) == len(job_list)
-        return results
+            metrics = [self._metrics_for(job) for job in unique]
+            by_job = {job: absorb(result) for job, result in
+                      zip(unique, pool.map(_pool_run, unique, metrics))}
+        return [by_job[job] for job in job_list]

@@ -48,7 +48,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8787
     workers: int = 2
-    verify: bool = False
     store_root: Optional[str] = None
     max_store_bytes: Optional[int] = None
     #: Pre-spawn every worker (kernel imports) before accepting.
@@ -92,9 +91,8 @@ class ServeDaemon:
         if self.config.trace and obs.active() is None:
             obs.enable("serve")
             self._owns_tracer = True
-        self.pool = WorkerPool(
-            workers=self.config.workers, verify=self.config.verify,
-            store_root=str(self.store.root))
+        self.pool = WorkerPool(workers=self.config.workers,
+                               store_root=str(self.store.root))
         if self.config.warm:
             await self.pool.warm()
         self._server = await asyncio.start_server(

@@ -5,11 +5,11 @@ imported modules and the per-worker :class:`ArtifactStore` stay warm
 across requests.  The seam mirrors the flow runner's pool plumbing
 (:mod:`repro.runner.runner`) and is registered with the static
 analyzer as a worker group (:data:`repro.analysis.report.DEFAULT_WORKER_GROUPS`):
-the initializer resets the tracer slot and forwards exactly the
-whitelisted environment (:data:`~repro.runner.runner.FORWARDED_ENV_WHITELIST`),
-and the entry point ships results back as plain dicts — the request's
-JSON form in, the report's JSON form (plus the worker's obs trace
-payload) out.
+the initializer resets the tracer slot and opens the store, workers
+inherit the daemon's environment (so ``REPRO_VERIFY_FLOWS`` reaches
+``run_flow`` unchanged), and the entry point ships results back as
+plain dicts — the request's JSON form in, the report's JSON form (plus
+the worker's obs trace payload) out.
 """
 
 from __future__ import annotations
@@ -29,22 +29,13 @@ _WORKER_STORE: Optional[ArtifactStore] = None
 _WORKER_READY: bool = False
 
 
-def _serve_pool_init(verify: bool, store_root: Optional[str]) -> None:
-    """Per-worker initializer: forward env, open the warm store.
-
-    ``REPRO_VERIFY_FLOWS`` is captured once in the daemon and replayed
-    here, exactly like the flow runner's pool initializer, so flows
-    behave identically in workers and in-process.
-    """
+def _serve_pool_init(store_root: Optional[str]) -> None:
+    """Per-worker initializer: drop the tracer, open the warm store."""
     global _WORKER_STORE, _WORKER_READY
     # A forked worker inherits the daemon's installed tracer; drop it
     # so every request's trace streams back inside the result payload
     # (the daemon adopts it exactly once).
     obs.disable()
-    if verify:
-        os.environ["REPRO_VERIFY_FLOWS"] = "1"
-    else:
-        os.environ.pop("REPRO_VERIFY_FLOWS", None)
     _WORKER_STORE = (ArtifactStore(store_root)  # static: ok[D004] per-worker store slot, written once by the pool initializer before any request runs
                      if store_root is not None else None)
     _WORKER_READY = True  # static: ok[D004] per-worker readiness flag, written once by the pool initializer
@@ -87,14 +78,13 @@ class WorkerPool:
     event loop.
     """
 
-    def __init__(self, workers: int, verify: bool,
-                 store_root: Optional[str]) -> None:
+    def __init__(self, workers: int, store_root: Optional[str]) -> None:
         self.workers = max(1, int(workers))
         self.submitted = 0
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_serve_pool_init,
-            initargs=(verify, store_root))
+            initargs=(store_root,))
 
     async def warm(self) -> list[int]:
         """Spin every worker up front; returns the worker pids seen."""

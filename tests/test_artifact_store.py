@@ -137,18 +137,6 @@ def test_missing_key_is_a_miss(store):
     store.discard("0" * 64)  # no-op, no raise
 
 
-def test_fetch_builds_once(store):
-    calls = []
-
-    def build():
-        calls.append(1)
-        return {"x": 3}
-
-    assert store.fetch("a" * 64, build) == {"x": 3}
-    assert store.fetch("a" * 64, build) == {"x": 3}
-    assert len(calls) == 1
-
-
 def test_memory_limit_evicts(tmp_path):
     store = ArtifactStore(tmp_path, memory_limit=2)
     for i in range(4):

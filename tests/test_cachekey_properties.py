@@ -22,7 +22,7 @@ from repro.runner.runner import _cell_key, _ExecContext
 from repro.tech import default_technology
 
 _TECH = default_technology()
-_CTX = _ExecContext(tech=_TECH, store=None, verify=False)
+_CTX = _ExecContext(tech=_TECH, store=None)
 
 #: Fields PolicyParams.normalized() keeps, per policy.  design/policy/
 #: slack are live for every policy (slack selects the budget targets).

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro import obs
 from repro.core import Policy
 from repro.core.flow import run_flow
 from repro.core.stages import PolicyParams
 from repro.runner import (FlowRunner, JobSpec, RunMatrix,
-                          design_ref_fingerprint, matrix_of, resolve_design)
+                          design_ref_fingerprint, resolve_design)
 
 POLICIES = (Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART)
 
@@ -42,23 +41,13 @@ def test_matrix_expansion_is_design_major():
     assert [j.design for j in jobs[:4]] == ["a"] * 4
     assert jobs[0] == JobSpec(design="a", policy=Policy.SMART, slack=0.15)
     assert jobs[1].slack == 0.4
-    assert "8 jobs" in matrix.describe()
 
 
-def test_matrix_rejects_empty_and_accepts_extra_cells():
+def test_matrix_rejects_empty():
     with pytest.raises(ValueError):
         RunMatrix(designs=(), policies=())
     with pytest.raises(ValueError):
         RunMatrix(designs=("a",), policies=())
-    extra = JobSpec(design="a", policy=Policy.RANDOM, random_seed=7)
-    matrix = RunMatrix(designs=(), policies=(), extra_cells=(extra,))
-    assert list(matrix) == [extra]
-
-
-def test_matrix_of_accepts_scalars():
-    matrix = matrix_of("a", Policy.SMART, 0.2)
-    assert list(matrix) == [JobSpec(design="a", policy=Policy.SMART,
-                                    slack=0.2)]
 
 
 def test_reference_job_pegs_to_all_ndr():
@@ -126,7 +115,8 @@ def test_worker_process_matches_in_process(tiny_ref, tmp_path):
 
 def test_reference_computed_once_per_design(tiny_ref, tmp_path):
     runner = _runner(tmp_path)
-    matrix = matrix_of(tiny_ref, Policy.SMART, (0.6, 0.15))
+    matrix = RunMatrix(designs=(tiny_ref,), policies=(Policy.SMART,),
+                       slacks=(0.6, 0.15))
     runner.run(matrix)
     assert list(runner._ref_metrics) == [tiny_ref]
     # Both cells pegged to the same reference; looser budget never
@@ -171,28 +161,70 @@ def test_store_disabled_still_runs(tiny_ref):
     assert result.feasible and not result.cached
 
 
-# -- streamed phases and verification -----------------------------------------
+# -- streamed traces and verification -----------------------------------------
 
 
-def test_phases_and_diagnostics_stream_back(tiny_ref, tmp_path):
-    runner = _runner(tmp_path, verify=True)
+def _descends_from(record, ancestor_id, by_id) -> bool:
+    while record.parent_id is not None:
+        if record.parent_id == ancestor_id:
+            return True
+        record = by_id[record.parent_id]
+    return False
+
+
+def test_worker_cell_spans_stream_back(tiny_ref):
+    """Every pooled cell's span tree comes home: each adopted
+    ``runner.cell`` span carries its flow's ``flow.policy`` span."""
     jobs = [JobSpec(design=tiny_ref, policy=p) for p in POLICIES]
-    results = runner.run(jobs, jobs=2)
-    smart = next(r for r in results if r.job.policy == Policy.SMART)
-    # The build itself was a store hit (phase 1 built it for the
-    # reference job), so the streamed phases start at the policy stage.
-    assert "flow.policy" in smart.phases
-    assert smart.phases["flow.policy"]["seconds"] >= 0.0
-    for r in results:
-        assert isinstance(r.diagnostics, list)  # verifier ran, no ERRORs
+    tracer = obs.enable("pool")
+    try:
+        results = FlowRunner(store=None).run(jobs, jobs=2)
+    finally:
+        obs.disable()
+    assert all(r.trace is None for r in results)  # adopted and consumed
+    by_id = {r.span_id: r for r in tracer.records}
+    cells = [r for r in tracer.records if r.name == obs.CELL_SPAN]
+    assert len(cells) == 4  # 3 cells + the shared all-NDR reference
+    policies = [r for r in tracer.records if r.name == "flow.policy"]
+    for cell in cells:
+        assert any(_descends_from(r, cell.span_id, by_id) for r in policies)
 
 
-def test_pool_initializer_forwards_verify_env(tech, monkeypatch):
-    from repro.runner import runner as runner_mod
+def test_untraced_run_job_records_no_trace(tiny_ref):
+    """An untraced in-process cell builds no trace payload at all."""
+    assert obs.active() is None
+    result = FlowRunner(store=None).run_job(
+        JobSpec(design=tiny_ref, policy=Policy.NO_NDR, slack=None))
+    assert result.trace is None
 
-    monkeypatch.delenv("REPRO_VERIFY_FLOWS", raising=False)
-    runner_mod._pool_init(tech, None, True, None, False)
-    assert os.environ.get("REPRO_VERIFY_FLOWS") == "1"
-    runner_mod._pool_init(tech, None, False, None, False)
-    assert "REPRO_VERIFY_FLOWS" not in os.environ
-    monkeypatch.setenv("REPRO_VERIFY_FLOWS", "1")  # restore for the suite
+
+def test_verify_hook_runs_once_per_computed_cell(tiny_ref, monkeypatch):
+    """``REPRO_VERIFY_FLOWS`` is the one verification trigger: a computed
+    cell runs the flow checks once, in-process and in a pool worker."""
+    import repro.verify
+
+    monkeypatch.setenv("REPRO_VERIFY_FLOWS", "1")
+    real_run_checks = repro.verify.run_checks
+    passes: list[int] = []
+
+    def counting_run_checks(*args, **kwargs):
+        report = real_run_checks(*args, **kwargs)
+        passes.append(len(report.checks_run))
+        return report
+
+    monkeypatch.setattr(repro.verify, "run_checks", counting_run_checks)
+    jobs = [JobSpec(design=tiny_ref, policy=p, slack=None)
+            for p in (Policy.NO_NDR, Policy.ALL_NDR)]
+
+    FlowRunner(store=None).run_job(jobs[0])
+    assert len(passes) == 1
+    checks_per_pass = passes[0]
+
+    # Pool workers count on their captured tracer; the parent adopts it.
+    tracer = obs.enable("verify")
+    try:
+        FlowRunner(store=None).run(jobs, jobs=2)
+    finally:
+        obs.disable()
+    checks = tracer.metrics.export()["verify.checks_run"]["value"]
+    assert checks == len(jobs) * checks_per_pass
