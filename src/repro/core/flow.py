@@ -6,6 +6,12 @@ policy, it drives the four-stage pipeline (:mod:`repro.core.stages`) —
 ``retrim``, ``analyze`` — and returns a fully analyzed
 :class:`FlowResult`.
 
+Every skew trim runs on an incremental
+:class:`~repro.engine.AnalysisEngine`.  The optimizing policies bring
+their own; for a baseline policy the flow opens one on the build
+extraction and re-extracts only the clock wires whose rule or shield
+the policy changed (none for no-NDR on a default-rule build).
+
 Every policy starts from a *fresh* physical build of the same design so
 comparisons are apples-to-apples (the skew-trimming pads are re-derived
 under each policy's own extraction).  With an
@@ -26,7 +32,8 @@ from repro.core.evaluation import AnalysisBundle
 from repro.core.optimizer import OptimizeResult
 from repro.core.policies import Policy
 from repro.core.stages import (BuildParams, PolicyParams, analyze_stage,
-                               build_stage, policy_stage, retrim_stage)
+                               build_stage, open_engine, policy_stage,
+                               retrim_stage)
 from repro.core.targets import RobustnessTargets
 from repro.cts.refine import RefineResult
 from repro.cts.synthesize import CtsResult
@@ -167,16 +174,28 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
                                BuildParams(max_stage_cap=max_stage_cap),
                                store=store)
         routing = physical.routing
+        rules_before = _clock_rules(routing)
 
         optimize = policy_stage(physical, targets, policy_params,
                                 guide=guide)
 
         # Rule changes shift stage delays; re-trim and take final
-        # analyses.  When the optimizer ran with its incremental engine,
-        # keep driving it — the final refine then rebuilds only the
-        # trimmed stages instead of re-extracting the network.
+        # analyses.  The optimizer's engine keeps driving both.  A
+        # baseline opens the flow's engine on the build extraction,
+        # re-extracts only what its policy moved, and trims on it; its
+        # analysis stays scalar, whose Monte Carlo peaks lower in memory
+        # than the engine's.
         engine = optimize.engine if optimize is not None else None
-        retrim_stage(physical, engine=engine)
+        if engine is None:
+            trim_engine = open_engine(physical.extraction, physical.tree,
+                                      tech, design.clock_freq, targets)
+            moved = [wid for wid, state in _clock_rules(routing).items()
+                     if state != rules_before[wid]]
+            if moved:
+                trim_engine.apply_rule_changes(moved)
+        else:
+            trim_engine = engine
+        retrim_stage(physical, engine=trim_engine)
         analyses = analyze_stage(physical, targets, engine=engine)
 
         if not optimizing or _em_fixable_by_rules(analyses, routing, widest) \
@@ -204,6 +223,11 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
         assert_flow_clean(result,
                           f"run_flow({design.name!r}, {policy.value})")
     return result
+
+
+def _clock_rules(routing: RoutingResult) -> dict[int, tuple]:
+    """Every clock wire's ``(rule, shielded)`` state, by wire id."""
+    return {w.wire_id: (w.rule, w.shielded) for w in routing.clock_wires}
 
 
 def _em_fixable_by_rules(analyses: AnalysisBundle, routing: RoutingResult,

@@ -4,7 +4,10 @@
 stages, each consuming and producing serializable artifacts:
 
 ``build``
-    CTS + routing + skew trim with every wire on the default rule.
+    CTS + routing + skew trim with every wire on the default rule.  The
+    build extracts once and trims on a build-local
+    :class:`~repro.engine.AnalysisEngine`, so a trim pass re-times only
+    the stages it touched.
     Deterministic in (design, technology, stage params), so its product
     is content-addressed: with an :class:`~repro.io.artifacts.ArtifactStore`
     the build is computed once per design and *shared* across policies,
@@ -16,9 +19,16 @@ stages, each consuming and producing serializable artifacts:
     the greedy optimizer, or the ML guide.  Mutates the routing in
     place and returns the optimizer result (None for baselines).
 ``retrim``
-    Re-trim skew after the rule changes shifted stage delays.
+    Re-trim skew after the rule changes shifted stage delays, on the
+    flow's engine (the optimizer's, or one :func:`open_engine` opened
+    on the build extraction for a baseline policy).
 ``analyze``
-    The full robustness/power analysis bundle of the final extraction.
+    The full robustness/power analysis bundle of the final extraction:
+    on the optimizer's engine for the optimizing policies, on the
+    scalar analyses for the baselines.
+
+The scalar ``refine_skew(engine=None)`` loop is not on this path; it
+stays the oracle the engine trims are checked against.
 
 Each stage opens an :func:`repro.obs.span` named ``flow.<stage>`` so a
 traced run shows the pipeline breakdown per cell.
@@ -27,7 +37,7 @@ traced run shows the pipeline breakdown per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.core.evaluation import AnalysisBundle, analyze_all
@@ -37,9 +47,14 @@ from repro.core.policies import (Policy, apply_random_policy,
 from repro.core.targets import RobustnessTargets
 from repro.cts.refine import refine_skew
 from repro.cts.synthesize import synthesize_clock_tree
+from repro.cts.tree import ClockTree
+from repro.extract.extractor import Extraction, extract
 from repro.netlist.design import Design
 from repro.route.router import Router
 from repro.tech.technology import Technology
+
+if TYPE_CHECKING:
+    from repro.engine import AnalysisEngine
 
 
 @dataclass(frozen=True)
@@ -104,12 +119,33 @@ def build_stage(design: Design, tech: Technology,
         cts = synthesize_clock_tree(design, tech,
                                     max_stage_cap=params.max_stage_cap)
         routing = Router(design, tech).route(cts.tree)
-        refine = refine_skew(cts.tree, routing, tech)
+        # A trim moves stage-root pads and snakes, never a routed wire:
+        # extract once, then let each trim pass re-time only what moved.
+        targets = RobustnessTargets.for_period(design.clock_period,
+                                               tech.max_slew)
+        engine = open_engine(extract(cts.tree, routing), cts.tree, tech,
+                             design.clock_freq, targets)
+        refine = refine_skew(cts.tree, routing, tech, engine=engine)
         physical = PhysicalDesign(design=design, tech=tech, tree=cts.tree,
                                   routing=routing, cts=cts, refine=refine)
     if store is not None:
         store.save(key, physical)
     return physical
+
+
+def open_engine(extraction: Extraction, tree: ClockTree, tech: Technology,
+                freq: float,
+                targets: RobustnessTargets) -> "AnalysisEngine":
+    """An :class:`~repro.engine.AnalysisEngine` over ``extraction``.
+
+    Opening compiles the kernel; the Monte-Carlo draws wait for the
+    first Monte Carlo, so an engine that only drives skew trims never
+    allocates them.
+    """
+    # Imported lazily: repro.engine pulls repro.core.evaluation back in,
+    # which would cycle at module-import time.
+    from repro.engine import AnalysisEngine
+    return AnalysisEngine(extraction, tree, tech, freq, targets)
 
 
 def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
@@ -143,12 +179,14 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
         raise ValueError(f"unhandled policy {policy}")  # pragma: no cover
 
 
-def retrim_stage(physical: "PhysicalDesign", engine=None) -> None:
+def retrim_stage(physical: "PhysicalDesign",
+                 engine: "AnalysisEngine") -> None:
     """Re-trim skew after rule changes; updates ``physical.refine``.
 
-    With ``engine`` (the optimizer's incremental engine over the same
-    routing), the trim rebuilds only the touched stages instead of
-    re-extracting the whole network.
+    ``engine`` is the flow's incremental engine over the same routing
+    (its extraction already follows the policy's rule changes), so the
+    trim rebuilds only the touched stages instead of re-extracting the
+    whole network.
     """
     with obs.span("flow.retrim"):
         physical.refine = refine_skew(physical.tree, physical.routing,
@@ -157,7 +195,11 @@ def retrim_stage(physical: "PhysicalDesign", engine=None) -> None:
 
 def analyze_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
                   engine=None) -> AnalysisBundle:
-    """Full analysis bundle of the (re-trimmed) extraction."""
+    """Full analysis bundle of the (re-trimmed) extraction.
+
+    With ``engine`` the bundle comes from its cached incremental
+    analyses; without one, from the scalar analyses.
+    """
     with obs.span("flow.analyze"):
         return analyze_all(physical.extraction, physical.tech,
                            physical.design.clock_freq, targets,

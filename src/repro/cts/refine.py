@@ -29,6 +29,14 @@ upward.  A slew guard caps each stage's trim so the *sink* transition
 
 The added capacitance is real power cost (it lands in the power report
 as delay-trim capacitance) — skew trimming is never free.
+
+The flow always trims with an :class:`~repro.engine.AnalysisEngine`:
+a trim moves only stage-root pads and snakes, never a routed wire, so
+each pass rebuilds the touched stages and re-times on the engine.  The
+``engine=None`` loop (a full :func:`~repro.extract.extractor.extract`
+plus scalar timing per pass) is the readable oracle behind
+``SmartNdrOptimizer(use_engine=False)``, the fig6 equivalence gate and
+the flow parity tests.
 """
 
 from __future__ import annotations
@@ -70,10 +78,11 @@ def refine_skew(tree: ClockTree, routing: RoutingResult, tech: Technology,
     base.  ``final_skew``/``initial_skew`` are reported in the corrected
     frame when offsets are given.
 
-    With ``engine`` (an :class:`~repro.engine.AnalysisEngine` over the
-    current routing), each trim pass rebuilds only the touched stages
-    instead of re-extracting the whole network — a trim moves nothing
-    but its own stage's root pad/snake.
+    With ``engine`` (an :class:`~repro.engine.AnalysisEngine` whose
+    extraction follows the current routing), each trim pass rebuilds
+    only the touched stages instead of re-extracting the whole network
+    — a trim moves nothing but its own stage's root pad/snake.  Without
+    one, every pass re-extracts and re-times on the scalar oracle.
 
     Returns the final extraction and timing so callers don't re-analyze.
     """

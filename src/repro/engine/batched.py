@@ -32,6 +32,7 @@ from typing import Annotated, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.engine.treeops import (accumulate_downstream, accumulate_prefix,
                                   build_levels, scatter_add)
 from repro.extract.capmodel import WireParasitics
@@ -83,6 +84,7 @@ class BatchedNetworkKernel:
     # -- compilation -------------------------------------------------------
 
     def _compile(self) -> None:
+        obs.counter("engine.compiles").inc()
         network = self.network
         routing = self.routing
         parasitics = self._parasitics

@@ -12,9 +12,10 @@ analysis result cached until its inputs move:
   survives a trim untouched: pad/snake capacitance hangs at or above
   every wire node, so no wire's downstream charge changes;
 * **Monte Carlo** keeps its seeded draws frozen
-  (:class:`FrozenVariation`).  A rule change only moves the touched
-  wires' width-normalised variation factors, which are recomputed from
-  the frozen draws — so the incremental MC equals a fresh seeded run.
+  (:class:`FrozenVariation`), drawn on the first Monte Carlo run.  A
+  rule change only moves the touched wires' width-normalised variation
+  factors, which are recomputed from the frozen draws — so the
+  incremental MC equals a fresh seeded run.
 
 Anything the dirty rules cannot express (buffer re-sizing, tree
 topology edits) needs a fresh engine — construction is one full
@@ -146,14 +147,30 @@ class AnalysisEngine:
         with obs.span("engine.compile"):
             self.kernel = BatchedNetworkKernel(
                 extraction.network, extraction.routing, extraction.wires)
-        self.frozen = FrozenVariation(
-            extraction.network, extraction.routing, tech,
-            n_samples=targets.mc_samples, seed=targets.mc_seed)
+        #: Monte-Carlo draws, built on first use (see :attr:`frozen`)
+        self._frozen: Optional[FrozenVariation] = None
         self._timing: Optional[ClockTiming] = None
         self._xtalk: Optional[CrosstalkReport] = None
         self._em: Optional[EmReport] = None
         self._power: Optional[PowerReport] = None
         self._mc: Optional[MonteCarloResult] = None
+
+    @property
+    def frozen(self) -> FrozenVariation:
+        """The seeded Monte-Carlo draws, built on first access.
+
+        The draws read only run invariants (wire midpoints, the wire
+        list, the stage count) plus the wires' current widths, so a
+        late build equals a fresh seeded run on the current state.  A
+        timing-only engine (the flow's skew trims) never pays for the
+        (wires x samples) matrices.
+        """
+        if self._frozen is None:
+            self._frozen = FrozenVariation(
+                self.extraction.network, self.extraction.routing,
+                self.tech, n_samples=self.targets.mc_samples,
+                seed=self.targets.mc_seed)
+        return self._frozen
 
     # -- change notifications ----------------------------------------------
 
@@ -174,7 +191,8 @@ class AnalysisEngine:
             stage_idx = network.wire_stage(wire_id)
             self.kernel.patch_wire(stage_idx, wire_id,
                                    self.extraction.wires[wire_id])
-            self.frozen.refresh_wire(tracks.wire(wire_id))
+            if self._frozen is not None:
+                self._frozen.refresh_wire(tracks.wire(wire_id))
         self._timing = self._xtalk = self._em = None
         self._power = self._mc = None
         return dirty

@@ -44,7 +44,9 @@ from repro import obs
 #: Bump to invalidate every previously stored artifact (schema change).
 #: 2: design identity moved to spec-content hashes (repro.designs) —
 #: keys derived under the old name-salted hashing must not be reused.
-ARTIFACT_SCHEMA = 2
+#: 3: builds trim on the incremental engine (trims may move by an ulp)
+#: and ``TrackManager`` carries per-track lo keys — old builds must miss.
+ARTIFACT_SCHEMA = 3
 
 #: Environment variable overriding the default on-disk cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

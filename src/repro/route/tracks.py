@@ -32,6 +32,9 @@ class TrackManager:
         self.grid = grid
         # (layer name, track index) -> intervals sorted by lo
         self._tracks: dict[tuple[str, int], list[_Interval]] = {}
+        # (layer name, track index) -> the same intervals' lo values, so
+        # queries bisect without rebuilding a key list per call
+        self._los: dict[tuple[str, int], list[float]] = {}
         self._wires: dict[int, RoutedWire] = {}
         # (layer name, track index) -> hard keep-out spans (blockages)
         self._blocked: dict[tuple[str, int], list[tuple[float, float]]] = {}
@@ -48,8 +51,9 @@ class TrackManager:
         for b_lo, b_hi in self._blocked.get((layer.name, track), []):
             if b_lo < hi and b_hi > lo:
                 return False
-        intervals = self._tracks.get((layer.name, track), [])
-        idx = bisect.bisect_left([iv.lo for iv in intervals], hi)
+        key = (layer.name, track)
+        intervals = self._tracks.get(key, [])
+        idx = bisect.bisect_left(self._los.get(key, []), hi)
         for iv in intervals[:idx]:
             if iv.hi > lo:
                 return False
@@ -78,9 +82,11 @@ class TrackManager:
         self._wires[wire.wire_id] = wire
         key = (wire.layer.name, wire.track)
         intervals = self._tracks.setdefault(key, [])
+        los = self._los.setdefault(key, [])
         iv = _Interval(wire.segment.lo, wire.segment.hi, wire.wire_id)
-        los = [existing.lo for existing in intervals]
-        intervals.insert(bisect.bisect_left(los, iv.lo), iv)
+        idx = bisect.bisect_left(los, iv.lo)
+        intervals.insert(idx, iv)
+        los.insert(idx, iv.lo)
 
     def wire(self, wire_id: int) -> RoutedWire:
         """The registered wire with this id."""
@@ -131,8 +137,12 @@ class TrackManager:
                 distance = self.grid.track_distance(layer, wire.track, track)
                 if distance - wire.width / 2.0 > layer.coupling_reach:
                     break
-                intervals = self._tracks.get((layer.name, track), [])
-                for iv in intervals:
+                key = (layer.name, track)
+                # Intervals starting at or past the wire's far end cannot
+                # overlap it; the rest keep their lo-sorted order.
+                end = bisect.bisect_left(self._los.get(key, []),
+                                         wire.segment.hi)
+                for iv in self._tracks.get(key, [])[:end]:
                     overlap = min(iv.hi, wire.segment.hi) - max(iv.lo, wire.segment.lo)
                     if overlap <= 0.0:
                         continue

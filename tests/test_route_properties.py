@@ -9,7 +9,7 @@ from repro.geom.rect import Rect
 from repro.geom.segment import Segment
 from repro.netlist.net import NetKind
 from repro.route.tracks import TrackManager
-from repro.route.wires import RoutedWire
+from repro.route.wires import NeighborCoupling, RoutedWire
 from repro.tech import default_technology, rule_by_name
 
 TECH = default_technology()
@@ -91,3 +91,105 @@ def test_utilization_bounded(track, span):
     tm.register(_wire(0, track, *span))
     util = tm.layer_utilization(M5)
     assert 0.0 <= util <= 1.0
+
+
+# -- bisected track queries against a brute-force scan ------------------------
+
+_RULES = [rule_by_name(name) for name in ("W1S1", "W2S1", "W2S2")]
+
+# (track, lo, length, rule index, clock?) -- length 0 is a zero-length
+# wire; tracks 0..6 keep most wires within coupling reach of each other.
+_placement = st.tuples(st.integers(0, 6), st.integers(0, 180),
+                       st.sampled_from([0, 0, 3, 8, 15, 30]),
+                       st.integers(0, len(_RULES) - 1), st.booleans())
+
+
+def _any_wire(wid, track, lo, length, rule_idx, clock):
+    y = GRID.track_coord(M5, track)
+    return RoutedWire(wire_id=wid, net_name="clk" if clock else f"s{wid}",
+                      kind=NetKind.CLOCK if clock else NetKind.SIGNAL,
+                      segment=Segment(Point(float(lo), y),
+                                      Point(float(lo + length), y)),
+                      layer=M5, track=track, rule=_RULES[rule_idx],
+                      activity=0.1 + 0.01 * wid)
+
+
+def _brute_is_free(placed, blocks, track, lo, hi):
+    if any(t == track and b_lo < hi and b_hi > lo
+           for t, b_lo, b_hi in blocks):
+        return False
+    return not any(w.track == track and w.segment.lo < hi
+                   and w.segment.hi > lo for w in placed)
+
+
+def _brute_neighbors(placed, wire, max_tracks=8):
+    """``neighbors_of`` as a full scan of every registered wire.
+
+    Same-track occupants are visited in lo order; among equal lo the
+    later registration comes first (bisect_left insertion).
+    """
+    result = []
+    layer = wire.layer
+    for direction in (-1, +1):
+        covered = 0.0
+        for step in range(1, max_tracks + 1):
+            track = wire.track + direction * step
+            if track < 0 or track >= GRID.num_tracks(layer):
+                break
+            distance = GRID.track_distance(layer, wire.track, track)
+            if distance - wire.width / 2.0 > layer.coupling_reach:
+                break
+            on_track = sorted(
+                ((-reg, other) for reg, other in enumerate(placed)
+                 if other.track == track),
+                key=lambda item: (item[1].segment.lo, item[0]))
+            for _, other in on_track:
+                overlap = (min(other.segment.hi, wire.segment.hi)
+                           - max(other.segment.lo, wire.segment.lo))
+                if overlap <= 0.0:
+                    continue
+                spacing = max(GRID.edge_spacing(layer, wire.track,
+                                                wire.width, track,
+                                                other.width),
+                              layer.min_spacing, wire.guaranteed_spacing(),
+                              other.guaranteed_spacing())
+                result.append(NeighborCoupling(
+                    neighbor_id=other.wire_id, spacing=spacing,
+                    overlap=overlap, neighbor_kind=other.kind,
+                    neighbor_activity=other.activity,
+                    same_net=(other.net_name == wire.net_name),
+                    neighbor_window=other.window))
+                covered += overlap
+            if covered >= wire.length:
+                break
+    return result
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_placement, max_size=30),
+       st.lists(st.tuples(st.integers(0, 6), interval), max_size=4),
+       st.lists(st.tuples(st.integers(0, 7), interval), min_size=1,
+                max_size=10))
+def test_track_queries_match_brute_force(placements, blocks, probes):
+    """Bisected ``is_free``/``neighbors_of`` equal a full scan, in order.
+
+    Wires register unconditionally, so same-track intervals overlap the
+    way the router's overflow fallback leaves them; zero-length wires,
+    keep-outs and empty tracks (7, and any the draw skipped) ride along.
+    """
+    tm = TrackManager(GRID)
+    placed = []
+    for wid, spec in enumerate(placements):
+        wire = _any_wire(wid, *spec)
+        tm.register(wire)
+        placed.append(wire)
+    flat_blocks = [(track, lo, hi) for track, (lo, hi) in blocks]
+    for track, lo, hi in flat_blocks:
+        tm.block(M5, track, lo, hi)
+    for track, (lo, hi) in probes:
+        assert tm.is_free(M5, track, lo, hi) == \
+            _brute_is_free(placed, flat_blocks, track, lo, hi)
+        assert tm.is_free(M5, track, lo, lo) == \
+            _brute_is_free(placed, flat_blocks, track, lo, lo)
+    for wire in placed:
+        assert tm.neighbors_of(wire) == _brute_neighbors(placed, wire)
