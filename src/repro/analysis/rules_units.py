@@ -66,6 +66,8 @@ if __name__ == "__main__":
     # ``python -m`` runs this file a second time as ``__main__`` after
     # the package import already registered its checks; hand over to
     # the imported module before the decorators below re-register.
+    # ``python -m repro.analysis.lint_units`` is the same CLI without
+    # runpy's double-import warning.
     from repro.analysis import rules_units as _registered
 
     sys.exit(_registered.main())
@@ -372,7 +374,7 @@ def lint_paths(paths: Sequence[Path]) -> List[Finding]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone CLI (``python -m repro.analysis.rules_units``); exit 1 on hits."""
+    """Standalone CLI (``python -m repro.analysis.lint_units``); exit 1 on hits."""
     parser = argparse.ArgumentParser(
         description="unit-hygiene linter (U001 float-literal equality, "
                     "U002 magic unit-conversion constants); the full "

@@ -30,10 +30,12 @@ def _clamped_point(rng: np.random.Generator, center: Point, radius: float,
                    design: Design) -> Point:
     die = design.die
     for _ in range(50):
-        x = float(np.clip(center.x + rng.uniform(-radius, radius),
-                          die.xlo, die.xhi))
-        y = float(np.clip(center.y + rng.uniform(-radius, radius),
-                          die.ylo, die.yhi))
+        # Builtin clamps on Python floats: same values as a scalar
+        # ``np.clip``, without its array dispatch.
+        x = min(max(center.x + float(rng.uniform(-radius, radius)),
+                    die.xlo), die.xhi)
+        y = min(max(center.y + float(rng.uniform(-radius, radius)),
+                    die.ylo), die.yhi)
         p = Point(x, y)
         if not any(b.contains(p) for b in design.blockages):
             return p
@@ -87,7 +89,8 @@ def generate_aggressors(design: Design, rng: np.random.Generator,
             f"agg_drv_{i}", CellKind.GATE, driver_loc, cell_name="INV")
         driver_pin = driver_inst.add_pin("Z", PinDirection.OUTPUT)
 
-        activity = float(np.clip(rng.beta(a, b) * activity_scale, 0.0, 1.0))
+        activity = min(max(float(rng.beta(a, b)) * activity_scale, 0.0),
+                       1.0)
         net = design.add_net(f"sig_{i}", NetKind.SIGNAL, activity=activity)
         if with_windows:
             width = float(rng.uniform(0.1, 0.4)) * design.clock_period

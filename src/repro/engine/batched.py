@@ -28,13 +28,15 @@ arrival matrices and per-wire EM records line up row for row with
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Annotated, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.engine.treeops import (accumulate_downstream, accumulate_prefix,
-                                  build_levels, scatter_add)
+                                  levels_from_depths, node_depths,
+                                  scatter_add)
 from repro.extract.capmodel import WireParasitics
 from repro.extract.rcnetwork import ClockRcNetwork, Stage
 from repro.reliability.em import DEFAULT_EM_FACTOR, EmReport, WireCurrent
@@ -70,6 +72,48 @@ class _StageSlice:
             setattr(self, name, value)
 
 
+class _StageLayout:
+    """One stage's arena rows in stage-local indices.
+
+    The compile concatenates every stage's layout; a splice swaps one
+    stage's rows for a fresh layout.  ``far`` and ``wire_ids`` list the
+    stage's wire nodes in node order (its arena columns), and
+    ``ent_col`` indexes into them.
+    """
+
+    __slots__ = ("parent", "r", "cap_fixed", "depth", "far", "wire_ids",
+                 "ent_node", "ent_col", "sink_node")
+
+    def __init__(self, stage: Stage) -> None:
+        nodes = stage.nodes
+        self.parent = [-1 if nd.parent is None else nd.parent
+                       for nd in nodes]
+        self.r = [nd.r for nd in nodes]
+        self.cap_fixed = [nd.cap_fixed for nd in nodes]
+        self.depth = node_depths(self.parent)
+        wired = [nd for nd in nodes if nd.wire_id is not None]
+        self.far = [nd.idx for nd in wired]
+        self.wire_ids = [nd.wire_id for nd in wired]
+        col = {wid: c for c, wid in enumerate(self.wire_ids)}
+        self.ent_node = [nd.idx for nd in nodes for _ in nd.cap_wire]
+        self.ent_col = [col[wid] for nd in nodes
+                        for wid, _a, _b in nd.cap_wire]
+        self.sink_node = [sk.node_idx for sk in stage.sinks]
+
+
+def _bases(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: per-stage start offsets plus the total."""
+    base = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=base[1:])
+    return base
+
+
+def _flat(lays: list[_StageLayout], name: str, dtype) -> np.ndarray:
+    """One layout field of every stage, concatenated in stage order."""
+    return np.array(list(chain.from_iterable(getattr(lay, name)
+                                             for lay in lays)), dtype=dtype)
+
+
 class BatchedNetworkKernel:
     """One clock network compiled to whole-design flat arrays."""
 
@@ -77,83 +121,58 @@ class BatchedNetworkKernel:
                  parasitics: dict[int, WireParasitics]) -> None:
         self.network = network
         self.routing = routing
-        self._parasitics = parasitics
-        self._stale = False
-        self._compile()
+        #: stage indices whose rows await a splice (see recompile_stage)
+        self._stale: set[int] = set()
+        self._compile(parasitics)
 
     # -- compilation -------------------------------------------------------
 
-    def _compile(self) -> None:
+    def _compile(self, parasitics: dict[int, WireParasitics]) -> None:
         obs.counter("engine.compiles").inc()
         network = self.network
-        routing = self.routing
-        parasitics = self._parasitics
         stages = network.stages
         n_stages = len(stages)
         self.n_stages = n_stages
+        lays = [_StageLayout(st) for st in stages]
 
-        node_base = np.zeros(n_stages + 1, dtype=np.int64)
+        node_base = _bases([len(lay.r) for lay in lays])
+        col_base = _bases([len(lay.far) for lay in lays])
+        ent_base = _bases([len(lay.ent_node) for lay in lays])
+        sink_base = _bases([len(lay.sink_node) for lay in lays])
+        stage_start = node_base[:-1]
+        self.node_base, self.col_base = node_base, col_base
+        self.ent_base, self.sink_base = ent_base, sink_base
+        self.n = int(node_base[-1])
+        self.root_node = stage_start.copy()
+
+        parent = _flat(lays, "parent", np.int64)
+        node_off = np.repeat(stage_start, np.diff(node_base))
+        self.parent = np.where(parent >= 0, parent + node_off, -1)
+        self.depth = _flat(lays, "depth", np.int64)
+        self.levels = levels_from_depths(self.depth)
+        self.r = _flat(lays, "r", np.float64)
+        self.cap_fixed = _flat(lays, "cap_fixed", np.float64)
+
+        self.wire_ids = list(chain.from_iterable(lay.wire_ids
+                                                 for lay in lays))
+        self.col_of = {wid: col for col, wid in enumerate(self.wire_ids)}
+        self.m = len(self.wire_ids)
+        self.wire_far = (_flat(lays, "far", np.int64)
+                         + np.repeat(stage_start, np.diff(col_base)))
+        ent_counts = np.diff(ent_base)
+        self.ent_node = (_flat(lays, "ent_node", np.int64)
+                         + np.repeat(stage_start, ent_counts))
+        self.ent_col = (_flat(lays, "ent_col", np.int64)
+                        + np.repeat(col_base[:-1], ent_counts))
+        self.sink_node = (_flat(lays, "sink_node", np.int64)
+                          + np.repeat(stage_start, np.diff(sink_base)))
+
+        self.d_int = np.zeros(n_stages)
+        self.r_drv = np.zeros(n_stages)
+        self.s_int = np.zeros(n_stages)
+        self.kr = np.zeros(n_stages)
         for s, st in enumerate(stages):
-            node_base[s + 1] = node_base[s] + len(st.nodes)
-        n = int(node_base[-1])
-        self.node_base = node_base
-        self.n = n
-        self.root_node = node_base[:-1].copy()
-
-        parent = np.full(n, -1, dtype=np.int64)
-        r = np.zeros(n)
-        cap_fixed = np.zeros(n)
-
-        col_of: dict[int, int] = {}
-        wire_ids: list[int] = []
-        wire_far: list[int] = []
-        col_base = np.zeros(n_stages + 1, dtype=np.int64)
-        ent_node: list[int] = []
-        ent_col: list[int] = []
-        ent_base = np.zeros(n_stages + 1, dtype=np.int64)
-
-        d_int = np.zeros(n_stages)
-        r_drv = np.zeros(n_stages)
-        s_int = np.zeros(n_stages)
-        kr = np.zeros(n_stages)
-
-        for s, st in enumerate(stages):
-            base = int(node_base[s])
-            for nd in st.nodes:
-                g = base + nd.idx
-                if nd.parent is not None:
-                    parent[g] = base + nd.parent
-                r[g] = nd.r
-                cap_fixed[g] = nd.cap_fixed
-                if nd.wire_id is not None:
-                    col_of[nd.wire_id] = len(wire_far)
-                    wire_far.append(g)
-                    wire_ids.append(nd.wire_id)
-            col_base[s + 1] = len(wire_far)
-            for nd in st.nodes:
-                for wid, _a, _b in nd.cap_wire:
-                    ent_node.append(base + nd.idx)
-                    ent_col.append(col_of[wid])
-            ent_base[s + 1] = len(ent_node)
-            drv = st.driver
-            d_int[s] = drv.d_intrinsic
-            r_drv[s] = drv.r_drive
-            s_int[s] = drv.s_intrinsic
-            kr[s] = drv.k_slew * drv.r_drive
-
-        self.parent = parent
-        self.levels = build_levels(parent)
-        self.r = r
-        self.cap_fixed = cap_fixed
-        self.col_of = col_of
-        self.wire_ids = wire_ids
-        self.m = len(wire_far)
-        self.wire_far = np.array(wire_far, dtype=np.int64)
-        self.col_base = col_base
-        self.ent_node = np.array(ent_node, dtype=np.int64)
-        self.ent_col = np.array(ent_col, dtype=np.int64)
-        self.ent_base = ent_base
-        self.d_int, self.r_drv, self.s_int, self.kr = d_int, r_drv, s_int, kr
+            self._load_driver(s, st)
 
         m = self.m
         self.area_half = np.zeros(m)
@@ -163,22 +182,16 @@ class BatchedNetworkKernel:
         self.width = np.zeros(m)
         self.thickness = np.zeros(m)
         self.jmax = np.ones(m)
-        for wid, col in col_of.items():
-            self._load_wire(col, parasitics[wid], routing.tracks.wire(wid))
+        tracks = self.routing.tracks
+        for col, wid in enumerate(self.wire_ids):
+            self._load_wire(col, parasitics[wid], tracks.wire(wid))
 
         # Flat sink arena: per-stage sink order, stage-major.
-        sink_node: list[int] = []
         sink_stage: list[int] = []
         child_stage: list[int] = []
         pins: list = []
-        sinks_of_stage: list[list[int]] = []
         for s, st in enumerate(stages):
-            flat: list[int] = []
-            base = int(node_base[s])
             for sk in st.sinks:
-                fi = len(sink_node)
-                flat.append(fi)
-                sink_node.append(base + sk.node_idx)
                 sink_stage.append(s)
                 pins.append(sk.sink_pin)
                 if sk.sink_pin is None:
@@ -186,11 +199,12 @@ class BatchedNetworkKernel:
                         network.stage_of_tree_node[sk.next_stage_tree_id])
                 else:
                     child_stage.append(-1)
-            sinks_of_stage.append(flat)
-        self.sink_node = np.array(sink_node, dtype=np.int64)
         self.sink_stage = np.array(sink_stage, dtype=np.int64)
         self.child_stage = np.array(child_stage, dtype=np.int64)
         self.sink_pins = pins
+
+        def sinks_of_stage(s: int) -> range:
+            return range(int(sink_base[s]), int(sink_base[s + 1]))
 
         # Stage-graph schedule: breadth-first levels for entry-time
         # propagation (each child stage has exactly one entry sink, so
@@ -198,7 +212,7 @@ class BatchedNetworkKernel:
         sched: list[tuple[np.ndarray, np.ndarray]] = []
         level = [network.root_stage] if n_stages else []
         while level:
-            lsinks = [fi for s in level for fi in sinks_of_stage[s]]
+            lsinks = [fi for s in level for fi in sinks_of_stage(s)]
             lconn = [fi for fi in lsinks if child_stage[fi] >= 0]
             sched.append((np.array(lsinks, dtype=np.int64),
                           np.array(lconn, dtype=np.int64)))
@@ -211,7 +225,7 @@ class BatchedNetworkKernel:
         work = [network.root_stage] if n_stages else []
         while work:
             s = work.pop()
-            for fi in sinks_of_stage[s]:
+            for fi in sinks_of_stage(s):
                 if child_stage[fi] < 0:
                     emit.append(fi)
                 else:
@@ -225,6 +239,86 @@ class BatchedNetworkKernel:
         self._frozen_ref = None
         self._frozen_perm: Optional[np.ndarray] = None
 
+    def _splice(self) -> None:
+        """Swap every stale stage's rows for a fresh layout, in one pass.
+
+        A trim that adds or removes a stage's root snake inserts or
+        drops one node, so every later node index moves.  Between two
+        stale stages all nodes move by one common shift: each such run
+        is copied as a block (its parent pointers shifted), the stale
+        stages' rows are laid out from the network, and the column,
+        entry and sink arrays (whose lengths a trim never changes) are
+        shifted in place.  The result equals a fresh compile array for
+        array.
+        """
+        obs.counter("engine.arena_splices").inc()
+        stages = self.network.stages
+        pending = sorted(self._stale)
+        lays = {s: _StageLayout(stages[s]) for s in pending}
+        for s, lay in lays.items():
+            # Wire columns stay put; a changed entry or sink count fails
+            # the row assignment below.
+            if lay.wire_ids != self.wire_ids[self.col_base[s]:
+                                             self.col_base[s + 1]]:
+                raise ValueError(
+                    f"stage {s} changed its wires; a splice only moves "
+                    f"nodes, so build a fresh engine")
+        old_base = self.node_base
+        sizes = np.diff(old_base)
+        for s, lay in lays.items():
+            sizes[s] = len(lay.r)
+        new_base = _bases(sizes)
+        shift = new_base - old_base
+
+        parent: list[np.ndarray] = []
+        depth: list[np.ndarray] = []
+        r: list[np.ndarray] = []
+        cap_fixed: list[np.ndarray] = []
+        indexed = ((self.wire_far, self.col_base, "far"),
+                   (self.ent_node, self.ent_base, "ent_node"),
+                   (self.sink_node, self.sink_base, "sink_node"))
+        prev = 0
+        for s in pending + [self.n_stages]:
+            # Stages prev .. s-1 are current: one block, one shift.
+            lo, hi, d = old_base[prev], old_base[s], shift[prev]
+            block = self.parent[lo:hi]
+            parent.append(np.where(block >= 0, block + d, -1))
+            depth.append(self.depth[lo:hi])
+            r.append(self.r[lo:hi])
+            cap_fixed.append(self.cap_fixed[lo:hi])
+            if d:
+                for arr, base, _ in indexed:
+                    arr[base[prev]:base[s]] += d
+            if s < self.n_stages:
+                lay, b = lays[s], new_base[s]
+                rows = np.array(lay.parent, dtype=np.int64)
+                parent.append(np.where(rows >= 0, rows + b, -1))
+                depth.append(np.array(lay.depth, dtype=np.int64))
+                r.append(np.array(lay.r, dtype=np.float64))
+                cap_fixed.append(np.array(lay.cap_fixed, dtype=np.float64))
+                for arr, base, name in indexed:
+                    arr[base[s]:base[s + 1]] = np.array(
+                        getattr(lay, name), dtype=np.int64) + b
+                self._load_driver(s, stages[s])
+            prev = s + 1
+
+        self.node_base = new_base
+        self.n = int(new_base[-1])
+        self.root_node = new_base[:-1].copy()
+        self.parent = np.concatenate(parent)
+        self.depth = np.concatenate(depth)
+        self.levels = levels_from_depths(self.depth)
+        self.r = np.concatenate(r)
+        self.cap_fixed = np.concatenate(cap_fixed)
+        self._stale = set()
+
+    def _load_driver(self, stage_idx: int, stage: Stage) -> None:
+        drv = stage.driver
+        self.d_int[stage_idx] = drv.d_intrinsic
+        self.r_drv[stage_idx] = drv.r_drive
+        self.s_int[stage_idx] = drv.s_intrinsic
+        self.kr[stage_idx] = drv.k_slew * drv.r_drive
+
     def _load_wire(self, col: int, para: WireParasitics, wire) -> None:
         self.area_half[col] = para.c_area / 2.0
         self.rest_half[col] = para.c_rest / 2.0
@@ -237,8 +331,7 @@ class BatchedNetworkKernel:
 
     def _ensure(self) -> None:
         if self._stale:
-            self._compile()
-            self._stale = False
+            self._splice()
 
     def _invalidate(self) -> None:
         self._down = None
@@ -280,19 +373,18 @@ class BatchedNetworkKernel:
     def patch_wire(self, stage_idx: int, wire_id: int,
                    para: WireParasitics) -> None:
         """Apply one wire's new parasitics/geometry in place."""
-        if self._stale:
-            # A recompile is already pending; it re-reads the live
-            # extraction, so patching the doomed arena is wasted work.
-            return
         col = self.col_of[wire_id]
         self._load_wire(col, para, self.routing.tracks.wire(wire_id))
-        self.r[self.wire_far[col]] = para.r
+        if stage_idx not in self._stale:
+            # A stale stage's node rows are re-read from the network
+            # (which holds this resistance too) at its splice.
+            self.r[self.wire_far[col]] = para.r
         self._invalidate()
 
     def retrim_stage(self, stage_idx: int, stage: Stage) -> None:
         """Refresh one stage's pad/snake scalars after a retrim."""
-        if self._stale:
-            # The pending recompile reads the retrimmed network.
+        if stage_idx in self._stale:
+            # The pending splice lays out the retrimmed stage.
             return
         base = int(self.node_base[stage_idx])
         nodes = stage.nodes
@@ -302,17 +394,16 @@ class BatchedNetworkKernel:
             self.r[base + 1] = nodes[1].r
         self._invalidate()
 
-    def recompile_stage(self, stage_idx: int,
-                        parasitics: dict[int, WireParasitics]) -> None:
-        """Mark the arena stale after a topology edit (lazy recompile).
+    def recompile_stage(self, stage_idx: int) -> None:
+        """Queue one rebuilt stage for a splice (after a topology edit).
 
-        Topology edits shift every downstream global index, so the
-        whole arena is rebuilt — lazily, once, however many stages the
-        caller rebuilds in a batch.  One compile is a single pass over
-        the network (~node count), far below one analysis sweep.
+        A stage rebuild that adds or removes the root snake node shifts
+        every later global node index.  The stage is marked stale and
+        the next sweep (:meth:`_ensure`) splices every stale stage into
+        the arena in one pass, however many stages the caller rebuilt
+        in a batch; no full recompile runs.
         """
-        self._parasitics = parasitics
-        self._stale = True
+        self._stale.add(stage_idx)
         self._invalidate()
 
     # -- shared sweeps -----------------------------------------------------

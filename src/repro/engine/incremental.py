@@ -8,9 +8,11 @@ analysis result cached until its inputs move:
   wires plus their coupling dependents, patch the RC network and the
   kernel in place, and invalidate everything — but re-running is now
   a handful of stage-local array updates, not a network rebuild;
-* **trims** (``rebuild_stages``) rebuild only the touched stages.  EM
-  survives a trim untouched: pad/snake capacitance hangs at or above
-  every wire node, so no wire's downstream charge changes;
+* **trims** (``rebuild_stages``) patch the touched stages' pad/snake
+  scalars, or splice a stage whose root snake appeared or vanished
+  into the arena; none recompiles it.  EM survives a trim untouched:
+  pad/snake capacitance hangs at or above every wire node, so no
+  wire's downstream charge changes;
 * **Monte Carlo** keeps its seeded draws frozen
   (:class:`FrozenVariation`), drawn on the first Monte Carlo run.  A
   rule change only moves the touched wires' width-normalised variation
@@ -200,6 +202,12 @@ class AnalysisEngine:
     def rebuild_stages(self, tree_node_ids: Iterable[int]) -> None:
         """Rebuild the stages of trimmed tree nodes (pad/snake edits).
 
+        A trim that keeps each stage's root-snake node patches the pad
+        and snake scalars in place.  One that adds or removes the snake
+        node rebuilds that stage in the network and queues it for a
+        splice into the kernel arena, applied with every other queued
+        stage at the next sweep; no trim recompiles the arena.
+
         EM stays cached: trim capacitance hangs at or above every wire
         node of the stage, so wire downstream charge is unchanged.
         """
@@ -216,7 +224,7 @@ class AnalysisEngine:
             network.rebuild_stage(stage_idx, self.tree,
                                   self.extraction.routing,
                                   self.extraction.wires)
-            self.kernel.recompile_stage(stage_idx, self.extraction.wires)
+            self.kernel.recompile_stage(stage_idx)
             obs.counter("engine.stage_rebuilds").inc()
         self._timing = self._xtalk = None
         self._power = self._mc = None

@@ -38,15 +38,16 @@ class StateInvariant:
     #: Attributes whose ``self.attr = None`` assignment counts as the
     #: paired invalidation (inline cache drops).
     cache_attrs: tuple[str, ...] = ()
-    #: Boolean attribute marking the compiled state doomed; assigning
-    #: it ``True`` also counts as invalidation.
+    #: Attribute marking compiled state doomed (a bool, or the set of
+    #: doomed parts); assigning it ``True`` also counts as invalidation.
     stale_flag: Optional[str] = None
-    #: Method that recompiles when the stale flag is set; public
-    #: methods reading guarded state must call it (or test the stale
-    #: flag) first — code I003.
+    #: Method that brings doomed state current (a recompile or a
+    #: splice) when the stale flag is set; public methods reading
+    #: guarded state must call it (or test the stale flag) first —
+    #: code I003.
     barrier: Optional[str] = None
     #: Methods allowed to write guarded fields without pairing: the
-    #: constructor and the (re)compile path, which build the guarded
+    #: constructor and the compile/splice paths, which build the guarded
     #: state in the first place.
     exempt: tuple[str, ...] = ()
 
@@ -56,11 +57,12 @@ ENGINE_STATE_INVARIANTS: tuple[StateInvariant, ...] = (
         cls="repro.engine.batched.BatchedNetworkKernel",
         guarded_fields=("r", "cap_fixed", "area_half", "rest_half",
                         "cc_half", "act_half", "width", "thickness",
-                        "jmax"),
+                        "jmax", "parent", "depth", "levels", "node_base",
+                        "root_node", "wire_far", "ent_node", "sink_node"),
         invalidators=("_invalidate",),
         cache_attrs=("_down", "_xtalk"),
         stale_flag="_stale",
         barrier="_ensure",
-        exempt=("__init__", "_compile"),
+        exempt=("__init__", "_compile", "_splice"),
     ),
 )

@@ -39,15 +39,52 @@ whole-design forest.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
     "build_levels",
+    "levels_from_depths",
+    "node_depths",
     "accumulate_downstream",
     "accumulate_downstream_loop",
     "accumulate_prefix",
     "scatter_add",
 ]
+
+
+def node_depths(parent: Sequence[int]) -> list[int]:
+    """Depth of every node of a parent-pointer forest (roots are 0).
+
+    ``parent`` is a list of parent indices, ``-1`` for roots; parents
+    must precede children (topological index order).
+    """
+    depth = [0] * len(parent)
+    for i, p in enumerate(parent):
+        if p >= 0:
+            if p >= i:
+                raise ValueError(
+                    f"parent[{i}] = {p} does not precede its child; "
+                    f"node order must be topological")
+            depth[i] = depth[p] + 1
+    return depth
+
+
+def levels_from_depths(depth: np.ndarray) -> list[np.ndarray]:
+    """Per-depth ascending node index arrays, shallowest first.
+
+    A stable argsort keeps equal depths in index order, so each level
+    slice is already ascending.
+    """
+    levels: list[np.ndarray] = []
+    if depth.size:
+        order = np.argsort(depth, kind="stable")
+        bounds = np.searchsorted(depth[order],
+                                 np.arange(int(depth.max()) + 2))
+        for d in range(len(bounds) - 1):
+            levels.append(order[bounds[d]:bounds[d + 1]])
+    return levels
 
 
 def build_levels(parent: np.ndarray) -> list[np.ndarray]:
@@ -58,25 +95,8 @@ def build_levels(parent: np.ndarray) -> list[np.ndarray]:
     one ascending ``int64`` index array per depth, shallowest first.
     Level 0 holds the roots.
     """
-    n = len(parent)
-    depth = np.zeros(n, dtype=np.int64)
-    parent = np.asarray(parent, dtype=np.int64)
-    for i in range(n):
-        p = parent[i]
-        if p >= 0:
-            if p >= i:
-                raise ValueError(
-                    f"parent[{i}] = {p} does not precede its child; "
-                    f"node order must be topological")
-            depth[i] = depth[p] + 1
-    levels: list[np.ndarray] = []
-    if n:
-        order = np.argsort(depth, kind="stable")
-        bounds = np.searchsorted(depth[order],
-                                 np.arange(int(depth.max()) + 2))
-        for d in range(len(bounds) - 1):
-            levels.append(np.sort(order[bounds[d]:bounds[d + 1]]))
-    return levels
+    depth = node_depths(np.asarray(parent, dtype=np.int64).tolist())
+    return levels_from_depths(np.array(depth, dtype=np.int64))
 
 
 def accumulate_downstream(values: np.ndarray, parent: np.ndarray,

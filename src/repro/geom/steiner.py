@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.geom.point import Point
-from repro.geom.segment import Segment, l_route
+from repro.geom.segment import Segment
 
 
 @dataclass
@@ -77,26 +77,48 @@ def _mst_edges(terminals: list[Point]) -> list[tuple[int, int]]:
     return edges
 
 
-def _overlap_score(candidate: list[Segment], placed: list[Segment]) -> float:
-    """Total collinear overlap between a candidate route and placed wires."""
+#: Placed legs by track: ``(horizontal, track coord) -> [(lo, hi), ...]``
+#: in placement order.
+_Placed = dict[tuple[bool, float], list[tuple[float, float]]]
+#: One leg of an L-route as ``((horizontal, track coord), lo, hi)``.
+_Leg = tuple[tuple[bool, float], float, float]
+
+
+def _l_legs(a: Point, b: Point, horizontal_first: bool) -> list[_Leg]:
+    """The legs of ``l_route(a, b, horizontal_first)`` as plain coordinates.
+
+    Same legs, keys and spans as the :class:`Segment` route (its
+    ``horizontal``, ``track_coord``, ``lo`` and ``hi``), without
+    building the segments.
+    """
+    if a == b:
+        return []
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    x_span = (min(ax, bx), max(ax, bx))
+    y_span = (min(ay, by), max(ay, by))
+    if ay == by:
+        return [((True, ay), *x_span)]
+    if ax == bx:
+        return [((False, ax), *y_span)]
+    if horizontal_first:  # bend at (bx, ay)
+        return [((True, ay), *x_span), ((False, bx), *y_span)]
+    return [((False, ax), *y_span), ((True, by), *x_span)]  # bend (ax, by)
+
+
+def _overlap_score(candidate: list[_Leg], placed: _Placed) -> float:
+    """Total collinear overlap between a candidate route and placed legs."""
     score = 0.0
-    for seg in candidate:
-        for other in placed:
-            if seg.horizontal == other.horizontal and seg.track_coord == other.track_coord:
-                score += seg.overlap_with(other)
+    for key, lo, hi in candidate:
+        for p_lo, p_hi in placed.get(key, ()):
+            score += max(0.0, min(hi, p_hi) - max(lo, p_lo))
     return score
 
 
-def _merge_collinear(segments: list[Segment]) -> list[Segment]:
-    """Merge overlapping/abutting collinear segments on the same track."""
-    by_track: dict[tuple[bool, float], list[Segment]] = {}
-    for seg in segments:
-        if seg.is_point:
-            continue
-        by_track.setdefault((seg.horizontal, seg.track_coord), []).append(seg)
+def _merge_collinear(placed: _Placed) -> list[Segment]:
+    """Merge overlapping/abutting collinear legs on the same track."""
     merged: list[Segment] = []
-    for (horizontal, coord), group in sorted(by_track.items()):
-        intervals = sorted((s.lo, s.hi) for s in group)
+    for (horizontal, coord), spans_in in sorted(placed.items()):
+        intervals = sorted(spans_in)
         cur_lo, cur_hi = intervals[0]
         spans = []
         for lo, hi in intervals[1:]:
@@ -118,7 +140,8 @@ def build_steiner_tree(root: Point, sinks: list[Point]) -> SteinerTree:
     """Build a rectilinear Steiner tree from ``root`` to ``sinks``.
 
     Duplicate terminals are tolerated; a single-terminal net yields an
-    empty segment list.
+    empty segment list.  Candidate L-routes are scored on plain
+    coordinates; only the merged output becomes :class:`Segment` objects.
     """
     terminals = [root] + [p for p in sinks if p != root]
     # De-duplicate while preserving order (root stays first).
@@ -132,14 +155,16 @@ def build_steiner_tree(root: Point, sinks: list[Point]) -> SteinerTree:
     if len(unique) < 2:
         return tree
 
-    placed: list[Segment] = []
+    placed: _Placed = {}
     for parent_idx, child_idx in _mst_edges(unique):
         a, b = unique[parent_idx], unique[child_idx]
-        route_h = l_route(a, b, horizontal_first=True)
-        route_v = l_route(a, b, horizontal_first=False)
+        route_h = _l_legs(a, b, horizontal_first=True)
+        route_v = _l_legs(a, b, horizontal_first=False)
         if _overlap_score(route_v, placed) > _overlap_score(route_h, placed):
-            placed.extend(route_v)
+            chosen = route_v
         else:
-            placed.extend(route_h)
+            chosen = route_h
+        for key, lo, hi in chosen:
+            placed.setdefault(key, []).append((lo, hi))
     tree.segments = _merge_collinear(placed)
     return tree

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.geom.grid import RoutingGrid
 from repro.route.wires import NeighborCoupling, RoutedWire
@@ -35,10 +36,23 @@ class TrackManager:
         # (layer name, track index) -> the same intervals' lo values, so
         # queries bisect without rebuilding a key list per call
         self._los: dict[tuple[str, int], list[float]] = {}
+        # (layer name, track index) -> running maximum of the same
+        # intervals' hi values; built on a track's first neighbor query,
+        # dropped when the track gains a wire, never pickled
+        self._hi_max: dict[tuple[str, int], list[float]] = {}
         self._wires: dict[int, RoutedWire] = {}
         # (layer name, track index) -> hard keep-out spans (blockages)
         self._blocked: dict[tuple[str, int], list[tuple[float, float]]] = {}
         self.overflows = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_hi_max"]  # a query cache, rebuilt on demand
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._hi_max = {}
 
     # -- placement ----------------------------------------------------------------
 
@@ -87,6 +101,7 @@ class TrackManager:
         idx = bisect.bisect_left(los, iv.lo)
         intervals.insert(idx, iv)
         los.insert(idx, iv.lo)
+        self._hi_max.pop(key, None)
 
     def wire(self, wire_id: int) -> RoutedWire:
         """The registered wire with this id."""
@@ -128,27 +143,34 @@ class TrackManager:
         layer = wire.layer
         result: list[NeighborCoupling] = []
         guaranteed = wire.guaranteed_spacing()
+        n_tracks = self.grid.num_tracks(layer)
+        width = wire.width
+        half_width = width / 2.0
+        lo, hi = wire.segment.lo, wire.segment.hi
+        length = wire.length
         for direction in (-1, +1):
             covered = 0.0
             for step in range(1, max_tracks + 1):
                 track = wire.track + direction * step
-                if track < 0 or track >= self.grid.num_tracks(layer):
+                if track < 0 or track >= n_tracks:
                     break
                 distance = self.grid.track_distance(layer, wire.track, track)
-                if distance - wire.width / 2.0 > layer.coupling_reach:
+                if distance - half_width > layer.coupling_reach:
                     break
                 key = (layer.name, track)
-                # Intervals starting at or past the wire's far end cannot
-                # overlap it; the rest keep their lo-sorted order.
-                end = bisect.bisect_left(self._los.get(key, []),
-                                         wire.segment.hi)
-                for iv in self._tracks.get(key, [])[:end]:
-                    overlap = min(iv.hi, wire.segment.hi) - max(iv.lo, wire.segment.lo)
+                # Intervals before ``start`` all end at or before the
+                # wire's near end; those from ``end`` on start at or past
+                # its far end.  Neither can overlap it, and the rest keep
+                # their lo-sorted order.
+                start = bisect.bisect_right(self._running_hi(key), lo)
+                end = bisect.bisect_left(self._los.get(key, ()), hi)
+                for iv in self._tracks.get(key, ())[start:end]:
+                    overlap = min(iv.hi, hi) - max(iv.lo, lo)
                     if overlap <= 0.0:
                         continue
                     other = self._wires[iv.wire_id]
                     spacing = self.grid.edge_spacing(
-                        layer, wire.track, wire.width, track, other.width)
+                        layer, wire.track, width, track, other.width)
                     # DRC floors: the layer minimum always holds, and
                     # either wire's rule guarantee pushes neighbors out.
                     spacing = max(spacing, layer.min_spacing,
@@ -163,9 +185,25 @@ class TrackManager:
                         neighbor_window=other.window,
                     ))
                     covered += overlap
-                if covered >= wire.length:
+                if covered >= length:
                     break  # fully shielded on this side
         return result
+
+    def _running_hi(self, key: tuple[str, int]) -> list[float]:
+        """Running maximum of ``hi`` over ``key``'s lo-sorted intervals.
+
+        Non-decreasing, so a query bisects away every interval that ends
+        before the wire starts.  Built on the track's first query and
+        dropped by :meth:`register`.
+        """
+        his = self._hi_max.get(key)
+        if his is None:
+            intervals = self._tracks.get(key)
+            if not intervals:
+                return []  # empty tracks stay out of the index
+            his = list(accumulate((iv.hi for iv in intervals), max))
+            self._hi_max[key] = his
+        return his
 
     # -- congestion ---------------------------------------------------------------
 

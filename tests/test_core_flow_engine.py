@@ -23,6 +23,7 @@ from repro.cts.refine import refine_skew
 from repro.cts.synthesize import synthesize_clock_tree
 from repro.designs import generate_design, spec_by_name
 from repro.engine import incremental
+from repro.engine.batched import BatchedNetworkKernel
 from repro.extract.extractor import extract
 from repro.io.artifacts import ArtifactStore
 from repro.route.router import Router
@@ -53,6 +54,27 @@ def test_all_ndr_flow_extracts_once_then_incrementally(monkeypatch, tech):
     assert _count(tracer, "engine.incremental_re_extracts") == 1
     builds = tracer.phase_totals()["flow.build"]["calls"]
     assert builds == _count(tracer, "extract.full")
+
+
+def test_all_ndr_flow_compiles_only_its_two_opening_arenas(monkeypatch,
+                                                          tech):
+    """The build's trim engine and the flow's engine compile; trims splice.
+
+    A trim that adds or removes a root snake splices that stage into the
+    arena instead of recompiling it.
+    """
+    compiles = []
+    original = BatchedNetworkKernel._compile
+
+    def counting(self, parasitics):
+        compiles.append(self)
+        original(self, parasitics)
+
+    monkeypatch.setattr(BatchedNetworkKernel, "_compile", counting)
+    design = generate_design(spec_by_name("ckt64"))
+    _, tracer = _traced_flow(monkeypatch, design, tech, Policy.ALL_NDR)
+    assert len(compiles) == 2
+    assert _count(tracer, "engine.compiles") == 2
 
 
 def test_no_ndr_flow_re_extracts_nothing_after_build(monkeypatch, tech):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.designs import generate_design
 from repro.core.evaluation import analyze_all
 from repro.core.flow import build_physical_design
@@ -214,6 +215,121 @@ def test_engine_trim_path_equals_full_analysis(physical, tech, backend):
     assert refined.final_skew == pytest.approx(fresh_refine.final_skew,
                                                abs=ATOL)
     _assert_bundles_match(incremental, fresh)
+
+
+#: Kernel attributes that are caches or shared objects, not arena arrays.
+_KERNEL_NON_ARENA = {"network", "routing", "_stale", "_down", "_xtalk",
+                     "_frozen_ref", "_frozen_perm"}
+
+
+def _assert_arena_equal(kernel, fresh):
+    """Every arena array of ``kernel`` equals a fresh compile's, exactly."""
+    names = set(vars(fresh)) - _KERNEL_NON_ARENA
+    assert names == set(vars(kernel)) - _KERNEL_NON_ARENA
+    for name in sorted(names):
+        have, want = getattr(kernel, name), getattr(fresh, name)
+        if isinstance(want, np.ndarray):
+            assert have.dtype == want.dtype, name
+            assert np.array_equal(have, want), name
+        elif name == "levels":
+            assert len(have) == len(want)
+            for depth, (a, b) in enumerate(zip(have, want)):
+                assert a.dtype == b.dtype, depth
+                assert np.array_equal(a, b), depth
+        elif name == "_sched":
+            assert len(have) == len(want)
+            for (a_s, a_c), (b_s, b_c) in zip(have, want):
+                assert np.array_equal(a_s, b_s)
+                assert np.array_equal(a_c, b_c)
+        else:
+            assert have == want, name
+
+
+def _assert_bundles_identical(a, b):
+    """Timing, crosstalk, EM and Monte Carlo equal to the bit."""
+    assert [(s.pin.full_name, s.arrival, s.slew) for s in a.timing.sinks] \
+        == [(s.pin.full_name, s.arrival, s.slew) for s in b.timing.sinks]
+    assert a.timing.stage_loads == b.timing.stage_loads
+    assert a.timing.stage_delays == b.timing.stage_delays
+    assert [(s.worst, s.expected) for s in a.crosstalk.sinks] \
+        == [(s.worst, s.expected) for s in b.crosstalk.sinks]
+    assert [(w.wire_id, w.i_eff, w.utilization) for w in a.em.wires] \
+        == [(w.wire_id, w.i_eff, w.utilization) for w in b.em.wires]
+    assert a.mc.sink_names == b.mc.sink_names
+    assert np.array_equal(a.mc.arrivals, b.mc.arrivals)
+
+
+def test_root_snake_splices_equal_a_fresh_compile(physical, tech):
+    """Adding, re-trimming and removing root snakes splices the arena.
+
+    The first, a middle and the last stage each gain or lose their
+    snake node, a rule change lands while those splices are pending,
+    and a second trim re-sizes a stage before the sweep applies its
+    splice.  After each
+    round the spliced kernel equals a fresh ``BatchedNetworkKernel``
+    array for array, level for level, and the engine's analyses equal
+    a fresh engine's to the bit.
+    """
+    routing = physical.routing
+    tree = physical.tree
+    freq = physical.design.clock_freq
+    targets = _targets(physical, tech)
+    ndr = max(tech.rules, key=lambda r: r.width_mult)
+    extraction = extract(tree, routing)
+    engine = AnalysisEngine(extraction, tree, tech, freq, targets)
+    engine.analyze()  # the frozen draws predate every splice
+    network = extraction.network
+
+    n_stages = len(network.stages)
+    toggled = sorted({network.stages[s].tree_node_id
+                      for s in (0, n_stages // 2, n_stages - 1)})
+    saved = {t: (tree.node(t).base_snake, tree.node(t).trim_snake)
+             for t in toggled}
+
+    def fresh_engine():
+        return AnalysisEngine(extraction, tree, tech, freq, targets)
+
+    def check():
+        bundle = engine.analyze()
+        fresh = fresh_engine()
+        assert not engine.kernel._stale
+        _assert_arena_equal(engine.kernel, fresh.kernel)
+        _assert_bundles_identical(bundle, fresh.analyze())
+
+    with obs.capture("splice") as tracer:
+        # Toggle each stage's root snake: add one where there is none,
+        # remove the one there is.
+        for tree_id in toggled:
+            node = tree.node(tree_id)
+            if node.root_snake > 0.0:
+                node.base_snake = node.trim_snake = 0.0
+            else:
+                if node.snake_r_per_um <= 0.0:
+                    node.snake_r_per_um, node.snake_c_per_um = 0.004, 0.18
+                node.trim_snake = 12.5
+        engine.rebuild_stages(toggled)
+        assert engine.kernel._stale == {network.stage_of_tree_node[t]
+                                        for t in toggled}
+        wire_id = _some_clock_wires(routing, 1)[0]
+        routing.assign_rule(wire_id, ndr)
+        engine.apply_rule_changes([wire_id])
+        # Re-trim a stage whose splice is still pending.
+        node = tree.node(toggled[0])
+        if node.root_snake > 0.0:
+            node.trim_snake += 17.5
+        engine.rebuild_stages([toggled[0]])
+        check()
+
+        for tree_id, (base, trim) in saved.items():  # toggle back
+            node = tree.node(tree_id)
+            node.base_snake, node.trim_snake = base, trim
+        engine.rebuild_stages(toggled)
+        check()
+    metrics = tracer.metrics
+    assert metrics.value("engine.arena_splices") == 2
+    assert metrics.value("engine.stage_rebuilds") == 2 * len(toggled)
+    # Only the fresh engines built by the checks compiled.
+    assert metrics.value("engine.compiles") == 2
 
 
 def test_optimizer_engine_matches_legacy_run(make_small_physical, tech):

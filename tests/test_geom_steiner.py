@@ -1,10 +1,12 @@
 """Rectilinear Steiner tree construction."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geom.point import Point
-from repro.geom.steiner import build_steiner_tree
+from repro.geom.segment import Segment, l_route
+from repro.geom.steiner import _mst_edges, build_steiner_tree
 
 
 def _connected_terminals(tree) -> bool:
@@ -86,3 +88,81 @@ def test_wirelength_bounded(sinks, root):
     # Lower bound: at least the distance to the farthest terminal.
     far = max((root.manhattan_to(s) for s in sinks), default=0.0)
     assert tree.wirelength >= far - 1e-9
+
+
+# -- the readable Segment-based construction, kept as the oracle ---------------
+
+
+def _oracle_overlap_score(candidate, placed) -> float:
+    score = 0.0
+    for seg in candidate:
+        for other in placed:
+            if (seg.horizontal == other.horizontal
+                    and seg.track_coord == other.track_coord):
+                score += seg.overlap_with(other)
+    return score
+
+
+def _oracle_merge_collinear(segments):
+    by_track = {}
+    for seg in segments:
+        if seg.is_point:
+            continue
+        by_track.setdefault((seg.horizontal, seg.track_coord), []).append(seg)
+    merged = []
+    for (horizontal, coord), group in sorted(by_track.items()):
+        intervals = sorted((s.lo, s.hi) for s in group)
+        cur_lo, cur_hi = intervals[0]
+        spans = []
+        for lo, hi in intervals[1:]:
+            if lo <= cur_hi:
+                cur_hi = max(cur_hi, hi)
+            else:
+                spans.append((cur_lo, cur_hi))
+                cur_lo, cur_hi = lo, hi
+        spans.append((cur_lo, cur_hi))
+        for lo, hi in spans:
+            if horizontal:
+                merged.append(Segment(Point(lo, coord), Point(hi, coord)))
+            else:
+                merged.append(Segment(Point(coord, lo), Point(coord, hi)))
+    return merged
+
+
+def _oracle_segments(root, sinks):
+    """Prim MST, overlap-greedy L bends on Segments, collinear merge."""
+    unique = []
+    for p in [root] + [p for p in sinks if p != root]:
+        if p not in unique:
+            unique.append(p)
+    if len(unique) < 2:
+        return []
+    placed = []
+    for parent_idx, child_idx in _mst_edges(unique):
+        a, b = unique[parent_idx], unique[child_idx]
+        route_h = l_route(a, b, horizontal_first=True)
+        route_v = l_route(a, b, horizontal_first=False)
+        if (_oracle_overlap_score(route_v, placed)
+                > _oracle_overlap_score(route_h, placed)):
+            placed.extend(route_v)
+        else:
+            placed.extend(route_h)
+    return _oracle_merge_collinear(placed)
+
+
+def test_trees_equal_the_segment_oracle_on_random_nets():
+    """Scoring on plain coordinates builds exactly the Segment trees.
+
+    Coarse grids force shared tracks and equal-score ties; fractional
+    coordinates exercise the float sums.
+    """
+    rng = np.random.default_rng(7)
+    for trial in range(1500):
+        grid = (4, 12, 60)[trial % 3]
+        size = int(rng.integers(1, 12))
+        coords = rng.integers(0, grid, size=(size + 1, 2)).astype(float)
+        if trial % 5 == 0:
+            coords = coords * 0.37 + rng.uniform(0.0, 0.5, coords.shape)
+        pts = [Point(float(x), float(y)) for x, y in coords]
+        tree = build_steiner_tree(pts[0], pts[1:])
+        assert tree.segments == _oracle_segments(pts[0], pts[1:]), trial

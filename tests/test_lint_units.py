@@ -1,7 +1,7 @@
 """Tests for the standalone unit-hygiene linter.
 
 The linter is :mod:`repro.analysis.rules_units`, run by CI as
-``python -m repro.analysis.rules_units``; these tests exercise that
+``python -m repro.analysis.lint_units``; these tests exercise that
 path-based entry point, including the shared ``# static: ok[U00x]``
 suppression syntax.
 """
@@ -108,6 +108,27 @@ def test_module_entry_point_runs_the_cli(tmp_path):
             [sys.executable, "-m", "repro.analysis.rules_units", str(path)],
             capture_output=True, text=True, env=env, check=False)
         assert proc.returncode == code, proc.stderr
+    assert "U001" in proc.stdout
+
+
+def test_lint_units_entry_runs_without_runpy_warning(tmp_path):
+    """The dedicated entry module: same CLI and exit codes, no warning."""
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("if x == 0.0:\n    pass\n")
+    for path, code in ((clean, 0), (dirty, 1)):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.analysis.lint_units", str(path)],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == code, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
     assert "U001" in proc.stdout
 
 

@@ -1,7 +1,7 @@
 """Property-based tests on the track manager and router invariants."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geom.grid import RoutingGrid
 from repro.geom.point import Point
@@ -98,9 +98,11 @@ def test_utilization_bounded(track, span):
 _RULES = [rule_by_name(name) for name in ("W1S1", "W2S1", "W2S2")]
 
 # (track, lo, length, rule index, clock?) -- length 0 is a zero-length
-# wire; tracks 0..6 keep most wires within coupling reach of each other.
+# wire; lengths 120/180 keep a track's running max hi above the short
+# intervals that follow them; tracks 0..6 keep most wires within
+# coupling reach of each other.
 _placement = st.tuples(st.integers(0, 6), st.integers(0, 180),
-                       st.sampled_from([0, 0, 3, 8, 15, 30]),
+                       st.sampled_from([0, 0, 3, 8, 15, 30, 120, 180]),
                        st.integers(0, len(_RULES) - 1), st.booleans())
 
 
@@ -165,17 +167,42 @@ def _brute_neighbors(placed, wire, max_tracks=8):
     return result
 
 
+# A long interval first on track 3, then short ones it spans: the
+# running max stays at its hi while later intervals end early.
+_LONG_THEN_SHORT = [(3, 0, 180, 0, True), (3, 10, 3, 1, False),
+                    (3, 40, 8, 0, False), (3, 150, 3, 2, False),
+                    (2, 20, 30, 0, True), (4, 100, 15, 1, True)]
+# A long interval registered on track 3 after a query indexed it, at a
+# lo ahead of the short interval already there: a stale running max
+# would hide it from the wire on track 2.
+_LONG_AFTER_QUERY = [(3, 0, 8, 0, False), (2, 20, 15, 0, True),
+                     (3, 0, 120, 1, False)]
+# Overflow overlaps: the router's fallback stacks wires on one track.
+_OVERFLOW = [(2, 50, 30, 0, True), (2, 55, 30, 1, False),
+             (2, 50, 8, 2, False), (2, 60, 0, 0, False),
+             (3, 52, 15, 0, True), (1, 45, 120, 1, False)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_placement, max_size=30),
        st.lists(st.tuples(st.integers(0, 6), interval), max_size=4),
        st.lists(st.tuples(st.integers(0, 7), interval), min_size=1,
-                max_size=10))
-def test_track_queries_match_brute_force(placements, blocks, probes):
+                max_size=10),
+       st.integers(0, 4))
+@example(_LONG_THEN_SHORT, [], [(3, (5.0, 20.0))], 0)
+@example(_OVERFLOW, [(2, (0.0, 10.0))], [(2, (50.0, 60.0))], 0)
+@example(_LONG_THEN_SHORT + _OVERFLOW, [], [(3, (0.0, 5.0))], 1)
+@example(_LONG_AFTER_QUERY, [], [(3, (0.0, 5.0))], 1)
+def test_track_queries_match_brute_force(placements, blocks, probes,
+                                         query_every):
     """Bisected ``is_free``/``neighbors_of`` equal a full scan, in order.
 
     Wires register unconditionally, so same-track intervals overlap the
     way the router's overflow fallback leaves them; zero-length wires,
-    keep-outs and empty tracks (7, and any the draw skipped) ride along.
+    long intervals, keep-outs and empty tracks (7, and any the draw
+    skipped) ride along.  A nonzero ``query_every`` queries every placed
+    wire after each that many registrations, so a neighbor index that
+    ``register`` failed to drop shows up as a stale answer.
     """
     tm = TrackManager(GRID)
     placed = []
@@ -183,6 +210,10 @@ def test_track_queries_match_brute_force(placements, blocks, probes):
         wire = _any_wire(wid, *spec)
         tm.register(wire)
         placed.append(wire)
+        if query_every and (wid + 1) % query_every == 0:
+            for other in placed:
+                assert tm.neighbors_of(other) == \
+                    _brute_neighbors(placed, other)
     flat_blocks = [(track, lo, hi) for track, (lo, hi) in blocks]
     for track, lo, hi in flat_blocks:
         tm.block(M5, track, lo, hi)
@@ -193,3 +224,27 @@ def test_track_queries_match_brute_force(placements, blocks, probes):
             _brute_is_free(placed, flat_blocks, track, lo, lo)
     for wire in placed:
         assert tm.neighbors_of(wire) == _brute_neighbors(placed, wire)
+
+
+def test_neighbor_index_stays_out_of_the_pickle():
+    """The running-max index is a query cache, never pickled.
+
+    Pickles keep the layout they had before the index existed, so stored
+    artifacts need no schema bump, and a loaded manager rebuilds the
+    index on its first query.
+    """
+    import pickle
+
+    tm = TrackManager(GRID)
+    wires = [_any_wire(wid, *spec) for wid, spec in enumerate(
+        _LONG_THEN_SHORT + _OVERFLOW)]
+    for wire in wires:
+        tm.register(wire)
+    before = [tm.neighbors_of(w) for w in wires]
+    assert tm._hi_max  # the queries built the index
+
+    state = tm.__getstate__()
+    assert "_hi_max" not in state
+    loaded = pickle.loads(pickle.dumps(tm))
+    assert loaded._hi_max == {}
+    assert [loaded.neighbors_of(w) for w in wires] == before
