@@ -226,8 +226,8 @@ def _apply_stage_trim(tree: ClockTree, network, stage_idx: int, gap: float,
     driver = stage.driver
     load = stage.total_cap
     trim = cheapest_trim(gap, driver.r_drive, load, snake_r, snake_c)
-    trim = _slew_limited(trim, gap, stage_idx, stage, worst_sink_slew, tech,
-                         snake_r, snake_c)
+    trim = _slew_limited(trim, gap, stage_idx, stage, load, worst_sink_slew,
+                         tech, snake_r, snake_c)
     if trim.added_cap <= 0.0:
         return None
     node = tree.node(stage.tree_node_id)
@@ -240,7 +240,8 @@ def _apply_stage_trim(tree: ClockTree, network, stage_idx: int, gap: float,
 
 
 def _slew_limited(trim: TrimChoice, gap: float, stage_idx: int, stage,
-                  worst_sink_slew: dict[int, float], tech: Technology,
+                  load: float, worst_sink_slew: dict[int, float],
+                  tech: Technology,
                   snake_r: float, snake_c: float,
                   margin: float = 0.98) -> TrimChoice:
     """Scale a trim down until the stage's worst *sink* slew stays legal.
@@ -249,9 +250,9 @@ def _slew_limited(trim: TrimChoice, gap: float, stage_idx: int, stage,
     (RSS); a load pad raises the driver term, a snake adds wire delay
     whose 10/90 spread is ``ln 9`` times it.  Halve the trim until the
     predicted sink slew fits (give up below 1% of the original).
+    ``load`` is the stage's current total capacitance.
     """
     driver = stage.driver
-    load = stage.total_cap
     budget = margin * tech.max_slew
     current_sink = worst_sink_slew.get(stage_idx, 0.0)
     current_driver = driver.output_slew(load)

@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import hashlib
 import json
 import os
 import pickle
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro import obs
 
@@ -201,6 +203,23 @@ def technology_fingerprint(tech: Any) -> str:
     return fingerprint(tech)
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic GC for the block, then restore its prior state.
+
+    (De)serialising a build allocates hundreds of thousands of tracked
+    objects and none of them is garbage; left on, the collector rescans
+    the growing graph again and again.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class ArtifactStore:
     """Two-level (memory bytes + disk pickle) content-addressed store.
 
@@ -241,7 +260,8 @@ class ArtifactStore:
 
     def save(self, key: str, obj: Any) -> None:
         """Persist ``obj`` under ``key`` (atomic rename; best effort)."""
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        with _gc_paused():
+            blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         obs.counter("artifacts.saves").inc()
         self._remember(key, blob)
         path = self.path_for(key)
@@ -273,7 +293,8 @@ class ArtifactStore:
                 return None
             self._touch(path)
         try:
-            obj = pickle.loads(blob)
+            with _gc_paused():
+                obj = pickle.loads(blob)
         except Exception:
             # Truncated write or stale class layout: treat as a miss and
             # drop the poisoned entry so the rebuild can overwrite it.

@@ -33,10 +33,27 @@ class RoutingResult:
     wires: list[RoutedWire] = field(default_factory=list)
     #: clock-tree child node id -> wires realising the incoming edge
     edge_wires: dict[int, list[RoutedWire]] = field(default_factory=dict)
+    #: (len(wires), clock wires) as of the last scan; kept out of pickles
+    _clock_scan: Optional[tuple[int, list[RoutedWire]]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_clock_scan", None)
+        return state
 
     @property
     def clock_wires(self) -> list[RoutedWire]:
-        return [w for w in self.wires if w.is_clock]
+        """The clock wires in routing order (shared: do not mutate).
+
+        Wires are only ever appended and a wire's kind never changes,
+        so the scan is redone only when ``wires`` has grown.
+        """
+        scan = self._clock_scan
+        if scan is None or scan[0] != len(self.wires):
+            scan = (len(self.wires), [w for w in self.wires if w.is_clock])
+            self._clock_scan = scan
+        return scan[1]
 
     @property
     def signal_wires(self) -> list[RoutedWire]:

@@ -8,12 +8,19 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
 * the all-NDR *reference* flow each slack-pegged cell needs for its
   budgets runs once per design — a cached upstream job, not a per-cell
   recomputation;
-* the default-rule *build* is shared across every policy/slack cell of
-  a design (each cell mutates its own snapshot);
+* a slack-pegged ALL-NDR cell *is* the reference flow under other
+  budgets, and budgets change only its feasibility verdict: the parent
+  derives that cell from the reference's result, with the store on or
+  off and on the serial and pool paths alike — it never runs a flow;
+* each design reference resolves once per runner (once per pool
+  worker), and the default-rule *build* is shared across every
+  policy/slack cell of a design through the store (each cell mutates
+  its own snapshot);
 * completed *cells* are cached whole, so a warm rerun of the same
-  matrix is pure deserialisation;
-* an ALL-NDR cell is the reference flow under different budgets — the
-  runner re-wraps the cached reference instead of re-running it.
+  matrix is pure deserialisation.
+
+Both reuses are scoped to one runner — one request: nothing a runner
+memoises outlives it.
 
 Every cell is one ``runner.cell`` span on the installed tracer.  A
 pool worker captures its cell and streams the :mod:`repro.obs` payload
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
@@ -79,15 +86,33 @@ class JobResult:
     trace: Optional[dict[str, Any]] = None
     flow: Optional[FlowResult] = None
 
+    @property
+    def metrics(self) -> RefMetrics:
+        """The (worst delta, 3-sigma skew) pair budgets peg to."""
+        return (self.summary["worst_delta_ps"],
+                self.summary["skew_3sigma_ps"])
+
 
 @dataclass
 class _ExecContext:
-    """Everything a job execution needs besides the job itself."""
+    """Everything a job execution needs besides the job itself.
+
+    ``designs`` memoises resolved design references for the context's
+    lifetime: one runner in-process, one pool worker otherwise.
+    """
 
     tech: Technology
     store: Optional[ArtifactStore]
     guide: object = None
     return_flows: bool = False
+    designs: dict[DesignRef, Design] = field(default_factory=dict)
+
+    def design(self, ref: DesignRef) -> Design:
+        """``ref`` materialised, once per context (flows never mutate it)."""
+        design = self.designs.get(ref)
+        if design is None:
+            design = self.designs[ref] = resolve_design(ref)
+        return design
 
 
 def _reference_targets(design: Design, tech: Technology,
@@ -97,11 +122,22 @@ def _reference_targets(design: Design, tech: Technology,
     if slack is None or metrics is None:
         return RobustnessTargets.for_period(design.clock_period,
                                             tech.max_slew)
+    return _pegged_targets(metrics, tech, slack)
+
+
+def _pegged_targets(metrics: RefMetrics, tech: Technology,
+                    slack: float) -> RobustnessTargets:
+    """Budgets within ``slack`` of the reference's achieved metrics."""
     worst_delta, skew_3sigma = metrics
     return RobustnessTargets.from_reference(worst_delta=worst_delta,
                                             skew_3sigma=skew_3sigma,
                                             max_slew=tech.max_slew,
                                             slack=slack)
+
+
+def _derives_from_reference(job: JobSpec) -> bool:
+    """True for a slack-pegged ALL-NDR cell: its reference's flow."""
+    return job.policy == Policy.ALL_NDR and job.slack is not None
 
 
 def _guide_fingerprint(guide: Any) -> str:
@@ -139,7 +175,7 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
     worker.
     """
     start = time.perf_counter()  # static: ok[D002] feeds JobResult.runtime metadata only
-    design = resolve_design(job.design)
+    design = ctx.design(job.design)
     targets = _reference_targets(design, ctx.tech, metrics, job.slack)
     store = ctx.store
     key = _cell_key(job, ctx, targets) if store is not None else None
@@ -147,24 +183,11 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
     with obs.span(obs.CELL_SPAN, cell=job.label, design=str(job.design),
                   policy=job.policy.value) as cell:
         flow: Optional[FlowResult] = None
-        cached = False
         if key is not None and store is not None:
             loaded = store.load(key)
             if isinstance(loaded, FlowResult):
-                flow, cached = loaded, True
-        if flow is None and key is not None and store is not None \
-                and job.policy == Policy.ALL_NDR and job.slack is not None:
-            # An ALL-NDR cell is the reference flow under pegged
-            # budgets; re-wrap the cached reference instead of
-            # re-running it (deterministic, so numerically identical).
-            ref_job = job.reference_job()
-            assert ref_job is not None  # slack is not None here
-            ref_targets = _reference_targets(design, ctx.tech, None, None)
-            ref_key = _cell_key(ref_job, ctx, ref_targets)
-            reference = store.load(ref_key)
-            if isinstance(reference, FlowResult):
-                flow, cached = replace(reference, targets=targets), True
-                store.save(key, flow)
+                flow = loaded
+        cached = flow is not None
         if flow is None:
             flow = run_flow(design, ctx.tech, policy=job.policy,
                             targets=targets,
@@ -188,6 +211,45 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
         runtime=time.perf_counter() - start,  # static: ok[D002] feeds JobResult.runtime metadata only
         cached=cached,
         flow=flow if ctx.return_flows else None,
+    )
+
+
+def _derive_pegged_cell(job: JobSpec, reference: JobResult,
+                        ref_flow: Optional[FlowResult],
+                        tech: Technology) -> JobResult:
+    """A slack-pegged ALL-NDR cell, taken from its reference's result.
+
+    The cell is the reference flow (deterministic) judged against
+    pegged budgets, so only ``feasible`` is recomputed — from the same
+    four summary metrics :meth:`AnalysisBundle.violations` reads.  The
+    flow is attached when ``ref_flow`` is given, sharing the
+    reference's physical build and analyses.  The cell is still one
+    ``runner.cell`` span (``cached=True``), so trace shapes match a
+    computed cell's position in the tree.
+    """
+    start = time.perf_counter()  # static: ok[D002] feeds JobResult.runtime metadata only
+    assert job.slack is not None
+    targets = _pegged_targets(reference.metrics, tech, job.slack)
+    with obs.span(obs.CELL_SPAN, cell=job.label, design=str(job.design),
+                  policy=job.policy.value, cached=True):
+        summary = dict(reference.summary)
+        feasible = not targets.violations(summary["worst_delta_ps"],
+                                          summary["skew_3sigma_ps"],
+                                          summary["worst_slew_ps"],
+                                          summary["em_worst_util"])
+        summary["feasible"] = 1.0 if feasible else 0.0
+        obs.counter("runner.cells_cached").inc()
+    runtime = time.perf_counter() - start  # static: ok[D002] feeds JobResult.runtime metadata only
+    return JobResult(
+        job=job,
+        summary=summary,
+        rule_histogram=dict(reference.rule_histogram),
+        ndr_track_cost=reference.ndr_track_cost,
+        feasible=feasible,
+        runtime=runtime,
+        cached=True,
+        flow=(replace(ref_flow, targets=targets)
+              if ref_flow is not None else None),
     )
 
 
@@ -224,6 +286,10 @@ def _pool_run(job: JobSpec, metrics: Optional[RefMetrics]) -> JobResult:
 class FlowRunner:
     """Schedules a job matrix over a process pool with artifact reuse.
 
+    A runner serves one request: it memoises each design reference's
+    resolved design and each all-NDR reference's result for its own
+    lifetime, and shares neither with any other runner.
+
     Parameters
     ----------
     tech:
@@ -257,48 +323,89 @@ class FlowRunner:
         self.store: Optional[ArtifactStore] = resolved
         self.jobs = max(1, int(jobs))
         self.guide = guide
-        self._ref_metrics: dict[DesignRef, RefMetrics] = {}
+        #: Each design's all-NDR reference result, kept without its flow.
+        self._references: dict[DesignRef, JobResult] = {}
+        self._designs: dict[DesignRef, Design] = {}
 
     # -- single-cell API ------------------------------------------------------
 
     def _context(self, return_flows: bool) -> _ExecContext:
         return _ExecContext(tech=self.tech, store=self.store,
-                            guide=self.guide, return_flows=return_flows)
+                            guide=self.guide, return_flows=return_flows,
+                            designs=self._designs)
 
     def run_job(self, job: JobSpec, return_flow: bool = True) -> JobResult:
         """Execute one cell in-process (references resolved as needed)."""
-        metrics = self._metrics_for(job)
-        return _execute_job(job, metrics, self._context(return_flow))
+        return self._run_serial(
+            [job], self._references_to_run([job], return_flow),
+            return_flow)[0]
 
     def reference(self, design: DesignRef) -> FlowResult:
         """The design's all-NDR reference flow (cached upstream job)."""
         job = JobSpec(design=design, policy=Policy.ALL_NDR, slack=None)
         result = _execute_job(job, None, self._context(True))
-        self._ref_metrics.setdefault(
-            design, (result.summary["worst_delta_ps"],
-                     result.summary["skew_3sigma_ps"]))
-        assert result.flow is not None
-        return result.flow
+        flow = self._keep_reference(result)
+        assert flow is not None
+        return flow
 
     def targets_for(self, design: DesignRef,
                     slack: float = 0.15) -> RobustnessTargets:
         """Budgets pegged to the design's cached all-NDR reference."""
-        metrics = self._ref_metrics.get(design)
-        if metrics is None:
+        if design not in self._references:
             self.reference(design)
-            metrics = self._ref_metrics[design]
-        worst_delta, skew_3sigma = metrics
-        return RobustnessTargets.from_reference(worst_delta=worst_delta,
-                                                skew_3sigma=skew_3sigma,
-                                                max_slew=self.tech.max_slew,
-                                                slack=slack)
+        return _pegged_targets(self._references[design].metrics, self.tech,
+                               slack)
+
+    def _keep_reference(self, result: JobResult) -> Optional[FlowResult]:
+        """Remember a reference's result without its flow; return the flow."""
+        self._references[result.job.design] = replace(result, flow=None,
+                                                      trace=None)
+        return result.flow
+
+    def _references_to_run(self, job_list: list[JobSpec],
+                           return_flows: bool) -> list[DesignRef]:
+        """Designs whose reference this run must compute, in job order.
+
+        A reference is known once computed; it runs again only when a
+        derived ALL-NDR cell must carry its flow, which is not kept.
+        """
+        out: list[DesignRef] = []
+        for job in job_list:
+            if job.slack is None or job.design in out:
+                continue
+            if job.design not in self._references or (
+                    return_flows and _derives_from_reference(job)):
+                out.append(job.design)
+        return out
+
+    def _cell(self, job: JobSpec, ref_flows: dict[DesignRef, FlowResult],
+              ctx: _ExecContext) -> JobResult:
+        """One in-process cell: derived from its reference, or executed."""
+        if _derives_from_reference(job):
+            return _derive_pegged_cell(job, self._references[job.design],
+                                       ref_flows.get(job.design), self.tech)
+        return _execute_job(job, self._metrics_for(job), ctx)
 
     def _metrics_for(self, job: JobSpec) -> Optional[RefMetrics]:
+        """The reference metrics a pegged cell's budgets derive from."""
         if job.slack is None:
             return None
-        if job.design not in self._ref_metrics:
-            self.reference(job.design)
-        return self._ref_metrics[job.design]
+        return self._references[job.design].metrics
+
+    def _run_serial(self, job_list: list[JobSpec],
+                    ref_designs: list[DesignRef],
+                    return_flows: bool) -> list[JobResult]:
+        """Both phases in-process: references, then every cell in order."""
+        # Hold a reference flow only when cells must carry it: a live
+        # reference would otherwise sit in memory through every cell.
+        ref_flows: dict[DesignRef, FlowResult] = {}
+        for design in ref_designs:
+            if return_flows:
+                ref_flows[design] = self.reference(design)
+            else:
+                self.reference(design)
+        ctx = self._context(return_flows)
+        return [self._cell(job, ref_flows, ctx) for job in job_list]
 
     # -- matrix API -----------------------------------------------------------
 
@@ -309,8 +416,10 @@ class FlowRunner:
 
         Phase 1 computes the deduplicated all-NDR references (one per
         design, shared by every slack and policy); phase 2 runs the
-        cells.  With ``jobs > 1`` both phases use a process pool and
-        duplicate cells execute once, fanning out to every position.
+        cells, deriving each slack-pegged ALL-NDR cell from its
+        reference in the parent.  With ``jobs > 1`` both phases use a
+        process pool and duplicate cells execute once, fanning out to
+        every position.
 
         When the session is traced, the whole run is one
         ``runner.matrix`` span; every worker's streamed trace payload
@@ -320,29 +429,19 @@ class FlowRunner:
         job_list = list(matrix)
         n_workers = self.jobs if jobs is None else max(1, int(jobs))
         n_workers = min(n_workers, max(len(job_list), 1))
-
-        ref_jobs: list[JobSpec] = []
-        seen_refs: set[DesignRef] = set()
-        for job in job_list:
-            ref = job.reference_job()
-            if ref is not None and job.design not in seen_refs \
-                    and job.design not in self._ref_metrics:
-                seen_refs.add(job.design)
-                ref_jobs.append(ref)
+        ref_designs = self._references_to_run(job_list, return_flows)
 
         with obs.span(obs.MATRIX_SPAN, cells=len(job_list),
-                      references=len(ref_jobs),
+                      references=len(ref_designs),
                       workers=n_workers) as matrix_span:
             if n_workers <= 1:
-                for ref in ref_jobs:
-                    self.reference(ref.design)
-                return [self.run_job(job, return_flow=return_flows)
-                        for job in job_list]
-            return self._run_pool(job_list, ref_jobs, n_workers,
+                return self._run_serial(job_list, ref_designs, return_flows)
+            return self._run_pool(job_list, ref_designs, n_workers,
                                   return_flows, matrix_span)
 
-    def _run_pool(self, job_list: list[JobSpec], ref_jobs: list[JobSpec],
-                  n_workers: int, return_flows: bool,
+    def _run_pool(self, job_list: list[JobSpec],
+                  ref_designs: list[DesignRef], n_workers: int,
+                  return_flows: bool,
                   matrix_span: Optional[obs.SpanRecord]) -> list[JobResult]:
         """The pooled phases of :meth:`run` (references, then cells)."""
         tracer = obs.active()
@@ -358,6 +457,9 @@ class FlowRunner:
                 result.trace = None
             return result
 
+        ref_jobs = [JobSpec(design=d, policy=Policy.ALL_NDR, slack=None)
+                    for d in ref_designs]
+        ref_flows: dict[DesignRef, FlowResult] = {}
         with ProcessPoolExecutor(
                 max_workers=n_workers,
                 initializer=_pool_init,
@@ -367,17 +469,23 @@ class FlowRunner:
             # Phase 1: deduplicated upstream references.
             for result in pool.map(_pool_run, ref_jobs,
                                    [None] * len(ref_jobs)):
-                absorb(result)
-                self._ref_metrics.setdefault(
-                    result.job.design,
-                    (result.summary["worst_delta_ps"],
-                     result.summary["skew_3sigma_ps"]))
+                flow = self._keep_reference(absorb(result))
+                if flow is not None:
+                    ref_flows[result.job.design] = flow
 
-            # Phase 2: the cells, duplicates executed once.
+            # Phase 2: the cells, duplicates executed once; pegged
+            # ALL-NDR cells are derived here, never dispatched.
             unique = list(dict.fromkeys(job_list))
             obs.counter("runner.cells_deduped").inc(
                 len(job_list) - len(unique))
-            metrics = [self._metrics_for(job) for job in unique]
+            dispatched = [job for job in unique
+                          if not _derives_from_reference(job)]
+            metrics = [self._metrics_for(job) for job in dispatched]
             by_job = {job: absorb(result) for job, result in
-                      zip(unique, pool.map(_pool_run, unique, metrics))}
+                      zip(dispatched,
+                          pool.map(_pool_run, dispatched, metrics))}
+        ctx = self._context(return_flows)
+        for job in unique:
+            if job not in by_job:
+                by_job[job] = self._cell(job, ref_flows, ctx)
         return [by_job[job] for job in job_list]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -129,6 +130,31 @@ def test_truncated_pickle_is_a_miss(store):
     path.write_bytes(pickle.dumps({"payload": 1})[:-5])
     store._memory.clear()
     assert store.load("k" * 64) is None
+
+
+def test_gc_state_restored_on_corruption_path(store):
+    """Pickling pauses the cyclic GC; a corrupt load still restores it."""
+    store.save("c" * 64, {"payload": 1})
+    assert gc.isenabled()
+    store.path_for("c" * 64).write_bytes(b"not a pickle at all")
+    store._memory.clear()
+    assert store.load("c" * 64) is None
+    assert gc.isenabled()
+
+
+def test_gc_left_off_when_already_off(store):
+    gc.disable()
+    try:
+        store.save("d" * 64, {"payload": [1, 2, 3]})
+        assert not gc.isenabled()
+        assert store.load("d" * 64) == {"payload": [1, 2, 3]}
+        assert not gc.isenabled()
+        store.path_for("d" * 64).write_bytes(b"garbage")
+        store._memory.clear()
+        assert store.load("d" * 64) is None
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_missing_key_is_a_miss(store):

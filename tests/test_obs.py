@@ -251,6 +251,24 @@ def test_traced_runner_counts_each_cell_exactly_once(tiny_ref):
     assert totals["flow.policy"]["calls"] == 3
 
 
+def test_store_off_compare_computes_three_cells_and_reuses_one(tiny_ref):
+    """A store-off compare runs three flows (reference, no-NDR, smart);
+    the pegged all-NDR cell is taken from the reference, still as its
+    own cached ``runner.cell`` span."""
+    matrix = RunMatrix(designs=(tiny_ref,),
+                       policies=(Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART),
+                       slacks=(0.15,))
+    tracer = obs.enable("compare")
+    FlowRunner(store=None).run(matrix, jobs=1)
+    metrics = tracer.metrics.export()
+    totals = tracer.phase_totals()
+    obs.disable()
+    assert metrics["runner.cells_computed"]["value"] == 3
+    assert metrics["runner.cells_cached"]["value"] == 1
+    assert totals[obs.CELL_SPAN]["calls"] == 4
+    assert totals["flow.build"]["calls"] == 3
+
+
 def test_cached_rerun_metrics_report_cache_hits(tmp_path, tiny_ref):
     """Warm rerun: every cell served from the store, and the metric
     registry says so (cells_cached + artifact hits, no computes)."""

@@ -1,9 +1,11 @@
 """Router integration over a real design."""
 
+import pickle
+
 import pytest
 
 from repro.netlist.net import NetKind
-from repro.route.router import Router
+from repro.route.router import Router, RoutingResult
 from repro.tech import rule_by_name
 
 
@@ -104,3 +106,21 @@ def test_routing_is_deterministic(make_small_physical):
     sa = [(w.segment, w.track, w.layer.name) for w in a.routing.wires]
     sb = [(w.segment, w.track, w.layer.name) for w in b.routing.wires]
     assert sa == sb
+
+
+def test_clock_wires_cache_follows_appends(small_physical):
+    """The cached clock-wire list matches a fresh scan as wires grow."""
+    source = small_physical.routing
+    routing = RoutingResult(tracks=source.tracks)
+    for wire in source.wires:
+        before = routing.clock_wires
+        assert routing.clock_wires is before  # unchanged: no rescan
+        routing.wires.append(wire)
+        assert routing.clock_wires == [w for w in routing.wires
+                                       if w.is_clock]
+    assert routing.clock_wires == source.clock_wires
+    # The scan stays out of pickles; a restored copy scans afresh.
+    restored = pickle.loads(pickle.dumps(routing))
+    assert "_clock_scan" not in restored.__dict__
+    assert [w.wire_id for w in restored.clock_wires] == \
+        [w.wire_id for w in routing.clock_wires]

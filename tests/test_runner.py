@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro import obs
+from repro import api, obs
 from repro.core import Policy
 from repro.core.flow import run_flow
 from repro.core.stages import PolicyParams
 from repro.runner import (FlowRunner, JobSpec, RunMatrix,
                           design_ref_fingerprint, resolve_design)
+from repro.tech import default_technology
 
 POLICIES = (Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART)
+
+#: Low supply for :func:`tight_ref`: keeps EM legal at its 3.3 GHz clock.
+TIGHT_TECH = dataclasses.replace(default_technology(), vdd=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +27,24 @@ def tiny_ref(tmp_path_factory, tiny_design) -> str:
 
     path = tmp_path_factory.mktemp("designs") / "tiny.json"
     save_design(tiny_design, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def tight_ref(tmp_path_factory) -> str:
+    """ckt64 at a 300 ps period, for :data:`TIGHT_TECH`.
+
+    Its all-NDR reference misses the period's delta-delay and 3-sigma
+    budgets yet meets the slew and EM limits, so the pegged ALL-NDR
+    cell is feasible where the reference is not.
+    """
+    from repro.designs import generate_design, spec_by_name
+    from repro.io import save_design
+
+    design = dataclasses.replace(generate_design(spec_by_name("ckt64")),
+                                 clock_period=300.0)
+    path = tmp_path_factory.mktemp("designs") / "ckt64_300ps.json"
+    save_design(design, path)
     return str(path)
 
 
@@ -118,7 +142,7 @@ def test_reference_computed_once_per_design(tiny_ref, tmp_path):
     matrix = RunMatrix(designs=(tiny_ref,), policies=(Policy.SMART,),
                        slacks=(0.6, 0.15))
     runner.run(matrix)
-    assert list(runner._ref_metrics) == [tiny_ref]
+    assert list(runner._references) == [tiny_ref]
     # Both cells pegged to the same reference; looser budget never
     # needs more upgrades than the tighter one.
     targets_loose = runner.targets_for(tiny_ref, slack=0.6)
@@ -126,15 +150,70 @@ def test_reference_computed_once_per_design(tiny_ref, tmp_path):
     assert targets_loose.max_worst_delta > targets_tight.max_worst_delta
 
 
-def test_all_ndr_cell_rewraps_cached_reference(tiny_ref, tmp_path):
-    """A pegged ALL-NDR cell reuses the reference flow, not a re-run."""
-    runner = _runner(tmp_path)
-    result = runner.run([JobSpec(design=tiny_ref,
-                                 policy=Policy.ALL_NDR)])[0]
-    assert result.cached  # cold store, yet served from the reference
-    direct = run_flow(resolve_design(tiny_ref), policy=Policy.ALL_NDR,
-                      targets=runner.targets_for(tiny_ref))
-    assert result.summary == direct.summary()
+def test_all_ndr_cell_rewraps_cached_reference(tiny_ref, tight_ref,
+                                              tmp_path):
+    """A pegged ALL-NDR cell reuses the reference flow, not a re-run,
+    with the store on or off; only its feasibility is re-judged."""
+    cases = ((tiny_ref, default_technology()), (tight_ref, TIGHT_TECH))
+    for n, (ref, tech) in enumerate(cases):
+        direct = None
+        for store in (str(tmp_path / f"artifacts{n}"), None):
+            runner = FlowRunner(tech=tech, store=store)
+            tracer = obs.enable("rewrap")
+            try:
+                (result,) = runner.run([JobSpec(design=ref,
+                                                policy=Policy.ALL_NDR)],
+                                       return_flows=True)
+            finally:
+                obs.disable()
+            assert result.cached  # cold store, yet served from the reference
+            assert tracer.phase_totals()["flow.build"]["calls"] == 1
+            if direct is None:
+                direct = run_flow(resolve_design(ref), tech,
+                                  policy=Policy.ALL_NDR,
+                                  targets=runner.targets_for(ref))
+            assert result.summary == direct.summary()
+            assert result.feasible == direct.feasible
+            assert result.flow is not None
+            assert result.flow.targets == direct.targets
+            assert result.flow.feasible == result.feasible
+            reference = runner._references[ref]
+            if ref == tight_ref:
+                assert result.feasible and not reference.feasible
+            else:
+                assert result.feasible == reference.feasible
+
+
+def test_each_design_resolved_once(tiny_ref, monkeypatch):
+    import repro.runner.runner as runner_module
+
+    calls: list[str] = []
+
+    def counting_resolve(ref):
+        calls.append(ref)
+        return resolve_design(ref)
+
+    monkeypatch.setattr(runner_module, "resolve_design", counting_resolve)
+    runner = FlowRunner(store=None)
+    runner.run([JobSpec(design=tiny_ref, policy=p) for p in POLICIES])
+    runner.run_job(JobSpec(design=tiny_ref, policy=Policy.NO_NDR,
+                           slack=None))
+    assert calls == [tiny_ref]
+    # A new runner is a new request: nothing carries over.
+    FlowRunner(store=None).run_job(JobSpec(design=tiny_ref,
+                                           policy=Policy.NO_NDR, slack=None))
+    assert calls == [tiny_ref, tiny_ref]
+
+
+def test_serial_and_pool_compare_reports_equal(tiny_ref):
+    def cells(jobs: int) -> list:
+        report = api.compare(api.CompareRequest(design=tiny_ref),
+                             jobs=jobs, store=False)
+        return [dataclasses.replace(c, runtime_s=0.0) for c in report.cells]
+
+    serial = cells(1)
+    assert serial == cells(2)
+    assert [c.cached for c in serial] == [False, True, False]
 
 
 def test_warm_rerun_is_fully_cached(tiny_ref, tmp_path):
@@ -174,7 +253,8 @@ def _descends_from(record, ancestor_id, by_id) -> bool:
 
 def test_worker_cell_spans_stream_back(tiny_ref):
     """Every pooled cell's span tree comes home: each adopted
-    ``runner.cell`` span carries its flow's ``flow.policy`` span."""
+    ``runner.cell`` span carries its flow's ``flow.policy`` span.  The
+    pegged ALL-NDR cell is derived in the parent and runs no flow."""
     jobs = [JobSpec(design=tiny_ref, policy=p) for p in POLICIES]
     tracer = obs.enable("pool")
     try:
@@ -186,8 +266,14 @@ def test_worker_cell_spans_stream_back(tiny_ref):
     cells = [r for r in tracer.records if r.name == obs.CELL_SPAN]
     assert len(cells) == 4  # 3 cells + the shared all-NDR reference
     policies = [r for r in tracer.records if r.name == "flow.policy"]
-    for cell in cells:
+    adopted = [c for c in cells if not c.attrs["cached"]]
+    assert len(adopted) == 3
+    for cell in adopted:
         assert any(_descends_from(r, cell.span_id, by_id) for r in policies)
+    (derived,) = [c for c in cells if c.attrs["cached"]]
+    assert derived.attrs["policy"] == Policy.ALL_NDR.value
+    assert not any(_descends_from(r, derived.span_id, by_id)
+                   for r in tracer.records)
 
 
 def test_untraced_run_job_records_no_trace(tiny_ref):
